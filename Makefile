@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check staticcheck race cover bench bench-smoke microbench fuzz fuzz-gen fuzz-shadow soak explore experiments table2 fig8 fig9 trace-smoke serve-smoke serve-bench corpus corpus-smoke fix-smoke shadow-smoke clean
+.PHONY: all build test check staticcheck race cover bench bench-smoke microbench fuzz fuzz-gen fuzz-shadow fuzz-intra soak explore experiments table2 fig8 fig9 trace-smoke serve-smoke serve-bench corpus corpus-smoke fix-smoke shadow-smoke clean
 
 all: build test check
 
@@ -20,19 +20,29 @@ check: soak staticcheck fix-smoke shadow-smoke
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Shadow-engine differential gate: the shadow cross-process engine must
-# render byte-identical reports to the pairwise reference over every
-# bundled bug case and every injection pattern (at 1 and GOMAXPROCS
-# workers), and the differential engine must pass on the benchmark's
-# multi-origin worst-case region (exercised via the experiments suite).
+# Differential gate: the shadow cross-process engine must render
+# byte-identical reports to the pairwise reference over every bundled bug
+# case and every injection pattern (at 1 and GOMAXPROCS workers), the
+# differential engine must pass on the benchmark's multi-origin
+# worst-case region (exercised via the experiments suite), and the
+# indexed within-epoch detector must render the all-pairs oracle's
+# reports over the registry, the injection patterns, the permuted hot
+# region and hand-built and random dense epochs.
 shadow-smoke:
 	$(GO) test -race -run 'TestShadowPairwiseDifferentialSweep' .
 	$(GO) test -race -run 'TestBenchShadowAgreement' ./internal/experiments
+	$(GO) test -race -run 'TestIntraEpochOracleSweep' ./internal/core
 
 # Fuzz the shadow engine against the pairwise oracle on generated RMA
 # programs: any disagreement between the two engines is a crasher.
 fuzz-shadow:
 	$(GO) test -fuzz FuzzShadowDifferential -fuzztime 30s .
+
+# Fuzz the indexed within-epoch detector against the all-pairs oracle on
+# generated RMA programs with flushes inserted: any report that differs
+# is a crasher.
+fuzz-intra:
+	$(GO) test -fuzz FuzzIntraEpochDifferential -fuzztime 30s ./internal/core
 
 # Static epoch-state checker over the bundled apps (buggy variants),
 # compared against the checked-in golden report; exits 1 on drift.

@@ -19,6 +19,7 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/profiler"
 	"repro/internal/stream"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
@@ -133,6 +134,55 @@ func BenchmarkAblationLinearVsQuadratic(b *testing.B) {
 				}
 				if len(rep.Violations) == 0 {
 					b.Fatal("planted conflict missed")
+				}
+			}
+		})
+	}
+}
+
+// --- §IV-C-3: within-epoch detection over one large epoch ----------------
+
+// BenchmarkIntraEpoch times intra-only detection of one fence epoch in
+// which rank 0 issues n Puts, each from its own origin word to its own
+// target word, in a strided order. The front end runs once, untimed.
+func BenchmarkIntraEpoch(b *testing.B) {
+	for _, puts := range []int{512, 4096} {
+		tb := testutil.NewTraceBuilder(2)
+		tb.WinCreate(1, 0x100000, uint64(8*puts))
+		tb.Fence(1)
+		for k := 0; k < puts; k++ {
+			w := uint64(k*7919) % uint64(puts)
+			tb.Add(0, trace.Event{Kind: trace.KindPut, Win: 1, Target: 1,
+				OriginAddr: 0x10000 + 8*w, OriginType: trace.TypeFloat64, OriginCount: 1,
+				TargetDisp: 8 * w, TargetType: trace.TypeFloat64, TargetCount: 1,
+				File: "bench.go", Line: int32(k)})
+		}
+		tb.Fence(1)
+		m, err := model.Build(tb.Set())
+		if err != nil {
+			b.Fatal(err)
+		}
+		ms, err := match.Run(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		d, err := dag.Build(m, ms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		epochs, opEpoch, err := core.ExtractEpochs(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("puts%d", puts), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := core.NewAnalyzer(m, d, epochs, opEpoch, core.Options{IntraEpoch: true}).Run()
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(rep.Violations) != 0 {
+					b.Fatal("disjoint puts flagged")
 				}
 			}
 		})

@@ -225,187 +225,6 @@ func (a *Analyzer) messageBufferClass(ev *trace.Event) (Op, bool) {
 	return 0, false
 }
 
-// detectIntraEpoch finds conflicts inside single epochs (paper §IV-C-3,
-// error class 1; Figures 1 and 2a). Within an epoch, issued one-sided
-// operations are unordered with everything that follows them up to the
-// closing synchronization call, so:
-//
-//   - a local access overlapping the origin buffer of an issued Get
-//     conflicts (the Get may complete at any time up to the close);
-//   - a local store overlapping the origin buffer of an issued Put or
-//     Accumulate conflicts (the transfer may read the buffer at any time);
-//   - two issued operations conflict if their origin buffers overlap with
-//     at least one writer, or if their target regions at the same target
-//     process overlap incompatibly per Table I.
-//
-// Epochs are checked independently (each scan reads only its own rank's
-// events), so with Options.Workers > 1 they are checked concurrently and
-// merged in epoch order — the same order the serial loop produces.
-func (a *Analyzer) detectIntraEpoch() error {
-	a.report.EpochsChecked += len(a.epochs)
-	scope := func(i int) string {
-		e := a.epochs[i]
-		return fmt.Sprintf("epoch %d (rank %d, %s)", i, e.Rank, e.Kind)
-	}
-	return a.parallelCollect(len(a.epochs), "detect_intra", scope, func(i int, col *collector) error {
-		return a.checkEpoch(a.epochs[i], col)
-	})
-}
-
-// localSide is one origin-process buffer an issued operation touches: the
-// origin buffer (read by Put/Acc-family, written by Get) and, for fetching
-// atomics, the result buffer (written at completion).
-type localSide struct {
-	fp    model.Footprint
-	write bool
-	role  string // "origin" or "result", for diagnostics
-}
-
-type issuedOp struct {
-	ev     *trace.Event
-	locals []localSide
-	target model.Footprint
-	tw     int32
-	// localDone is set by Win_flush_local: the operation's local buffers
-	// are complete, so later local accesses are ordered after them.
-	localDone bool
-}
-
-func (a *Analyzer) localSidesOf(ev *trace.Event) ([]localSide, error) {
-	origin, err := a.m.OriginFootprint(ev)
-	if err != nil {
-		return nil, err
-	}
-	sides := []localSide{{fp: origin, write: ev.Kind == trace.KindGet, role: "origin"}}
-	if ev.ResultCount > 0 {
-		result, err := a.m.ResultFootprint(ev)
-		if err != nil {
-			return nil, err
-		}
-		sides = append(sides, localSide{fp: result, write: true, role: "result"})
-	}
-	return sides, nil
-}
-
-// checkEpoch finds conflicts inside one epoch, reporting into col.
-// Win_flush completes all pending operations to its target (removing them
-// from consideration); Win_flush_local completes only their local buffers.
-func (a *Analyzer) checkEpoch(e *Epoch, col *collector) error {
-	t := a.m.Set.Traces[e.Rank]
-	var ops []issuedOp
-	opSet := make(map[trace.ID]bool, len(e.Ops))
-	for _, id := range e.Ops {
-		opSet[id] = true
-	}
-	flushTargetWorld := func(ev *trace.Event) (int32, bool, error) {
-		if ev.Target < 0 {
-			return 0, true, nil // flush_all
-		}
-		tw, err := lockTargetWorld(a.m, ev)
-		return tw, false, err
-	}
-
-	for seq := e.Start + 1; seq < e.End && seq < int64(len(t.Events)); seq++ {
-		ev := &t.Events[seq]
-		switch {
-		case ev.Kind == trace.KindWinFlush && ev.Win == e.Win:
-			tw, all, err := flushTargetWorld(ev)
-			if err != nil {
-				return err
-			}
-			kept := ops[:0]
-			for _, o := range ops {
-				if !all && o.tw != tw {
-					kept = append(kept, o)
-				}
-			}
-			ops = kept
-		case ev.Kind == trace.KindWinFlushLocal && ev.Win == e.Win:
-			tw, all, err := flushTargetWorld(ev)
-			if err != nil {
-				return err
-			}
-			for i := range ops {
-				if all || ops[i].tw == tw {
-					ops[i].localDone = true
-				}
-			}
-		case ev.Kind.IsLocalAccess():
-			acc := model.AccessFootprint(ev)
-			accWrite := ev.Kind == trace.KindStore
-			for i := range ops {
-				o := &ops[i]
-				if o.localDone {
-					continue
-				}
-				for _, side := range o.locals {
-					iv, overlap := acc.Overlaps(side.fp)
-					if !overlap || (!accWrite && !side.write) {
-						continue
-					}
-					a.addIntra(col, e, &Violation{
-						Severity: SevError,
-						Class:    WithinEpoch,
-						Rule: fmt.Sprintf("local %s overlaps the %s buffer of a pending %s in the same epoch",
-							ev.Kind, side.role, o.ev.Kind),
-						A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-					})
-				}
-			}
-		case opSet[ev.ID()]:
-			locals, err := a.localSidesOf(ev)
-			if err != nil {
-				return err
-			}
-			target, err := a.m.TargetFootprint(ev)
-			if err != nil {
-				return err
-			}
-			tw := target.Rank
-			for i := range ops {
-				o := &ops[i]
-				// Local-side pairs: conflict when overlapping with at
-				// least one writer, unless the older op's local buffers
-				// were completed by a flush_local.
-				if !o.localDone {
-					for _, os := range o.locals {
-						for _, ns := range locals {
-							if !os.write && !ns.write {
-								continue
-							}
-							if iv, ok := ns.fp.Overlaps(os.fp); ok {
-								a.addIntra(col, e, &Violation{
-									Severity: SevError,
-									Class:    WithinEpoch,
-									Rule: fmt.Sprintf("%s buffer of %s overlaps the %s buffer of %s within one epoch",
-										ns.role, ev.Kind, os.role, o.ev.Kind),
-									A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-								})
-							}
-						}
-					}
-				}
-				// Target-target at the same target process.
-				if o.tw == tw {
-					if iv, ok := target.Overlaps(o.target); ok {
-						if EffectiveCompat(o.ev, ev) != Both {
-							a.addIntra(col, e, &Violation{
-								Severity: SevError,
-								Class:    WithinEpoch,
-								Rule: fmt.Sprintf("%s and %s to overlapping target regions within one epoch",
-									o.ev.Kind, ev.Kind),
-								A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-							})
-						}
-					}
-				}
-			}
-			ops = append(ops, issuedOp{ev: ev, locals: locals, target: target, tw: tw})
-		}
-	}
-	return nil
-}
-
 // storedOp is one remote one-sided operation recorded in a window vector
 // during cross-process detection (paper §IV-C-4).
 type storedOp struct {
@@ -439,6 +258,7 @@ func (a *Analyzer) detectCrossProcess() error {
 type collector struct {
 	report *Report
 	vindex map[string]*Violation
+	intra  *epochBuffers // checkEpoch's buffers, shared by the scopes of one worker
 }
 
 func (c *collector) add(v *Violation) { c.report.add(c.vindex, v) }
@@ -463,7 +283,7 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 		return tr.Start(track, tr.Lane(fmt.Sprintf("worker %d", worker), s), s)
 	}
 	if a.opts.Workers <= 1 || n < 2 {
-		col := &collector{report: a.report, vindex: a.vindex}
+		col := &collector{report: a.report, vindex: a.vindex, intra: new(epochBuffers)}
 		for i := 0; i < n; i++ {
 			if err := a.opts.ctxErr(); err != nil {
 				return err
@@ -493,12 +313,13 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			var bufs epochBuffers
 			for i := range work {
 				if err := a.opts.ctxErr(); err != nil {
 					results[i] = result{col: &collector{report: &Report{}}, err: err}
 					continue // keep draining so the feeder never blocks
 				}
-				col := &collector{report: &Report{}, vindex: map[string]*Violation{}}
+				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, intra: &bufs}
 				sp := startSpan(w, i)
 				err := check(i, col)
 				sp.End()

@@ -490,3 +490,86 @@ func TestReportString(t *testing.T) {
 		t.Error("empty report text wrong")
 	}
 }
+
+// MPI calls on a local buffer are local accesses inside an epoch too
+// (§IV-C-4): sending from the origin buffer of a pending Get reads bytes
+// the Get may still be writing.
+func TestSendFromPendingGetOrigin(t *testing.T) {
+	b := testutil.NewTraceBuilder(2)
+	b.WinCreate(1, 0x1000, 64)
+	b.Fence(1)
+	b.Add(0, getEv(1, 0x500, 0, 170))
+	b.Add(0, loc(trace.Event{Kind: trace.KindSend, Comm: 0, Peer: 1, Tag: 5,
+		OriginAddr: 0x500, OriginType: trace.TypeInt32, OriginCount: 1}, 171))
+	b.Fence(1)
+	b.Add(1, loc(trace.Event{Kind: trace.KindRecv, Comm: 0, Peer: 0, Tag: 5,
+		OriginAddr: 0x900, OriginType: trace.TypeInt32, OriginCount: 1}, 172))
+	v := onlyViolation(t, analyze(t, b))
+	if v.Class != WithinEpoch || v.A.Kind != trace.KindGet || v.B.Kind != trace.KindSend {
+		t.Errorf("violation = %v", v)
+	}
+	if !strings.Contains(v.Rule, "origin buffer of a pending Get") {
+		t.Errorf("rule = %q", v.Rule)
+	}
+}
+
+// Receiving into the origin buffer of a pending Put overwrites bytes the
+// Put may still be reading; sending from it only reads them and is fine.
+func TestRecvIntoPendingPutOrigin(t *testing.T) {
+	b := testutil.NewTraceBuilder(2)
+	b.WinCreate(1, 0x1000, 64)
+	b.Add(1, loc(trace.Event{Kind: trace.KindSend, Comm: 0, Peer: 0, Tag: 5,
+		OriginAddr: 0x900, OriginType: trace.TypeInt32, OriginCount: 1}, 180))
+	b.Fence(1)
+	b.Add(0, putEv(1, 0x500, 0, 181))
+	b.Add(0, loc(trace.Event{Kind: trace.KindRecv, Comm: 0, Peer: 1, Tag: 5,
+		OriginAddr: 0x500, OriginType: trace.TypeInt32, OriginCount: 1}, 182))
+	b.Add(0, loc(trace.Event{Kind: trace.KindSend, Comm: 0, Peer: 1, Tag: 6,
+		OriginAddr: 0x500, OriginType: trace.TypeInt32, OriginCount: 1}, 183))
+	b.Fence(1)
+	b.Add(1, loc(trace.Event{Kind: trace.KindRecv, Comm: 0, Peer: 0, Tag: 6,
+		OriginAddr: 0x900, OriginType: trace.TypeInt32, OriginCount: 1}, 184))
+	v := onlyViolation(t, analyze(t, b))
+	if v.Class != WithinEpoch || v.A.Kind != trace.KindPut || v.B.Kind != trace.KindRecv {
+		t.Errorf("violation = %v", v)
+	}
+}
+
+// oneEpochPuts builds one fence epoch in which rank 0 issues n Puts, each
+// from its own origin word to its own target word, in a strided order.
+func oneEpochPuts(n int) *trace.Set {
+	b := testutil.NewTraceBuilder(2)
+	b.WinCreate(1, 0x100000, uint64(8*n))
+	b.Fence(1)
+	for k := 0; k < n; k++ {
+		w := uint64(k*7919) % uint64(n)
+		b.Add(0, loc(trace.Event{Kind: trace.KindPut, Win: 1, Target: 1,
+			OriginAddr: 0x10000 + 8*w, OriginType: trace.TypeFloat64, OriginCount: 1,
+			TargetDisp: 8 * w, TargetType: trace.TypeFloat64, TargetCount: 1}, int32(k)))
+	}
+	b.Fence(1)
+	return b.Set()
+}
+
+// Within-epoch detection allocates at most linearly in the epoch size:
+// four times the puts may cost about four times the allocations.
+func TestIntraEpochAllocsLinear(t *testing.T) {
+	allocs := func(n int) float64 {
+		set := oneEpochPuts(n)
+		m, d := buildPipeline(t, set)
+		epochs, opEpoch, err := ExtractEpochs(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			rep, err := NewAnalyzer(m, d, epochs, opEpoch, Options{IntraEpoch: true}).Run()
+			if err != nil || len(rep.Violations) != 0 {
+				t.Fatalf("n=%d: %v\n%v", n, err, rep)
+			}
+		})
+	}
+	small, large := allocs(256), allocs(1024)
+	if large > 4.25*small {
+		t.Errorf("allocs: %v for 256 puts, %v for 1024 puts (> 4.25x)", small, large)
+	}
+}
