@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check staticcheck race cover bench bench-smoke microbench fuzz fuzz-gen fuzz-shadow fuzz-intra soak explore experiments table2 fig8 fig9 trace-smoke serve-smoke serve-bench corpus corpus-smoke fix-smoke shadow-smoke clean
+.PHONY: all build test check staticcheck race cover bench bench-smoke microbench fuzz fuzz-codec fuzz-gen fuzz-shadow fuzz-intra soak explore experiments table2 fig8 fig9 trace-smoke serve-smoke serve-bench corpus corpus-smoke fix-smoke shadow-smoke clean
 
 all: build test check
 
@@ -118,7 +118,15 @@ microbench:
 	$(GO) test -bench=. -benchmem ./...
 
 fuzz:
-	$(GO) test -fuzz FuzzReadTrace -fuzztime 30s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzReadTrace$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
+
+# CI-sized fuzz of the trace codec: every-field event runs must round-trip
+# encode/decode unchanged, and corrupt streams must decode to an error or
+# a valid trace, never a panic.
+fuzz-codec:
+	$(GO) test -run NONE -fuzz '^FuzzRoundTrip$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzReadTrace$$' -fuzztime 20s ./internal/trace
 
 # Fuzz the seeded RMA program generator: any seed must yield a program
 # that simulates without deadlock and round-trips the trace codec.

@@ -401,12 +401,14 @@ func BenchmarkStreamVsBatch(b *testing.B) {
 
 func BenchmarkProfilerEmitCost(b *testing.B) {
 	// One rank storing repeatedly: isolates the per-access instrumentation
-	// cost that Figure 8's overhead consists of.
-	run := func(b *testing.B, hook mpi.Hook) {
+	// cost that Figure 8's overhead consists of. The sink variants add
+	// what collecting the trace costs on top: in memory (set assembly
+	// included) or encoded to a trace file as the events arrive.
+	run := func(b *testing.B, hook mpi.Hook, stores int) {
 		b.Helper()
 		err := mpi.Run(1, mpi.Options{Hook: hook}, func(p *mpi.Proc) error {
 			buf := p.AllocFloat64(8, "hot")
-			for i := 0; i < b.N; i++ {
+			for i := 0; i < stores; i++ {
 				buf.SetFloat64(0, float64(i))
 			}
 			return nil
@@ -415,10 +417,60 @@ func BenchmarkProfilerEmitCost(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("native", func(b *testing.B) { run(b, nil) })
-	b.Run("profiled", func(b *testing.B) {
-		run(b, profiler.New(trace.NewCountingSink(nil), nil))
+	b.Run("native", func(b *testing.B) {
+		b.ReportAllocs()
+		run(b, nil, b.N)
 	})
+	b.Run("profiled", func(b *testing.B) {
+		b.ReportAllocs()
+		run(b, profiler.New(trace.NewCountingSink(nil), nil), b.N)
+	})
+	b.Run("memory-sink", func(b *testing.B) {
+		// Fresh sinks of at most 1<<14 events keep the held trace small
+		// however large b.N grows.
+		b.ReportAllocs()
+		for done := 0; done < b.N; {
+			n := min(b.N-done, 1<<14)
+			sink := trace.NewMemorySink()
+			run(b, profiler.New(sink, nil), n)
+			if sink.Set().TotalEvents() != n {
+				b.Fatal("events lost")
+			}
+			done += n
+		}
+	})
+	b.Run("file-sink", func(b *testing.B) {
+		b.ReportAllocs()
+		sink, err := trace.NewFileSink(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, profiler.New(sink, nil), b.N)
+		if err := sink.Close(); err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkEncodeTrace measures the codec's encode side on a profiled
+// Figure 8 workload trace, one rank stream per op.
+func BenchmarkEncodeTrace(b *testing.B) {
+	wl := apps.Workloads()[0]
+	sink := trace.NewMemorySink()
+	if err := mpi.Run(8, mpi.Options{Hook: profiler.New(sink, nil)}, wl.Body(0.5)); err != nil {
+		b.Fatal(err)
+	}
+	tr := sink.Set().Traces[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		enc, err := trace.EncodeTrace(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(enc)))
+	}
+	b.ReportMetric(float64(len(tr.Events)), "events/op")
 }
 
 // --- Analysis pipeline stages (profiling the offline side) ---------------

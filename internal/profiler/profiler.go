@@ -10,11 +10,12 @@
 // — the "no static analysis" configuration whose overhead the paper
 // contrasts with the selective one (§VII-B).
 //
-// The hot path is engineered like real instrumentation: source locations
-// resolve through a per-PC cache (static knowledge in the original), and
-// sequence numbers are per-rank counters touched only by the rank's own
-// goroutine, so emitting an event costs on the order of the instrumented
-// access itself.
+// The hot path is engineered like real instrumentation: memory.CallerLoc
+// serves each access's file, line and function from a lock-free cache
+// keyed by the call site's PC (static knowledge in the original), sequence
+// numbers are per-rank counters touched only by the rank's own goroutine,
+// and the trace sinks store or encode an event without allocating, so
+// emitting an event costs on the order of the instrumented access itself.
 package profiler
 
 import (

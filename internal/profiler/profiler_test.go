@@ -1,9 +1,11 @@
 package profiler
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -150,6 +152,39 @@ func TestMPICallNoAllocWithoutRegistry(t *testing.T) {
 		pr.MPICall(nil, ev)
 	}); allocs != 0 {
 		t.Errorf("MPICall allocates %.1f times per event with nil registry, want 0", allocs)
+	}
+}
+
+// TestMemorySinkProfileBytes bounds what profiling into a MemorySink
+// costs in heap: 100k stores collected and assembled with Set may
+// allocate at most 2.5 events' worth of bytes per event — the chunks hold
+// each event once and Set copies it once more.
+func TestMemorySinkProfileBytes(t *testing.T) {
+	const stores = 100_000
+	sink := trace.NewMemorySink()
+	pr := New(sink, nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := mpi.Run(1, mpi.Options{Hook: pr}, func(p *mpi.Proc) error {
+		buf := p.AllocFloat64(8, "hot")
+		for i := 0; i < stores; i++ {
+			buf.SetFloat64(0, float64(i))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := sink.Set()
+	runtime.ReadMemStats(&after)
+	if got := set.TotalEvents(); got != stores {
+		t.Fatalf("collected %d events, want %d", got, stores)
+	}
+	perEvent := float64(after.TotalAlloc-before.TotalAlloc) / stores
+	limit := 2.5 * float64(unsafe.Sizeof(trace.Event{}))
+	t.Logf("%.0f B allocated per event (limit %.0f)", perEvent, limit)
+	if perEvent > limit {
+		t.Errorf("profiling into a MemorySink allocates %.0f B per event, want <= %.0f", perEvent, limit)
 	}
 }
 

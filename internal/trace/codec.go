@@ -44,12 +44,16 @@ const (
 	maxPreallocEvents = 1 << 16
 )
 
-// Writer encodes one rank's events to an io.Writer.
+// Writer encodes one rank's events to an io.Writer. Each record, together
+// with any string definitions it needs, is encoded into one reused buffer
+// and handed to the bufio.Writer in a single write, so emitting an event
+// whose strings are already interned does not allocate.
 type Writer struct {
 	w       *bufio.Writer
 	rank    int32
 	nextSeq int64
 	strs    map[string]uint64
+	buf     []byte
 	err     error
 }
 
@@ -66,66 +70,33 @@ func NewWriter(w io.Writer, rank int32) (*Writer, error) {
 // stream header. events <= 0 writes 0 ("unknown"); the hint is advisory
 // only — emitting more or fewer events than hinted is legal.
 func NewWriterHint(w io.Writer, rank int32, events int) (*Writer, error) {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(codecMagic); err != nil {
-		return nil, err
-	}
-	if err := bw.WriteByte(codecVersion); err != nil {
-		return nil, err
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], int64(rank))
-	if _, err := bw.Write(tmp[:n]); err != nil {
-		return nil, err
-	}
 	if events < 0 {
 		events = 0
 	}
-	n = binary.PutUvarint(tmp[:], uint64(events))
-	if _, err := bw.Write(tmp[:n]); err != nil {
+	buf := make([]byte, 0, 256)
+	buf = append(buf, codecMagic...)
+	buf = append(buf, codecVersion)
+	buf = binary.AppendVarint(buf, int64(rank))
+	buf = binary.AppendUvarint(buf, uint64(events))
+	bw := bufio.NewWriter(w)
+	if _, err := bw.Write(buf); err != nil {
 		return nil, err
 	}
-	return &Writer{w: bw, rank: rank, strs: map[string]uint64{"": 0}}, nil
+	return &Writer{w: bw, rank: rank, strs: map[string]uint64{"": 0}, buf: buf[:0]}, nil
 }
 
-func (w *Writer) uvarint(v uint64) {
-	if w.err != nil {
-		return
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	_, w.err = w.w.Write(tmp[:n])
-}
-
-func (w *Writer) varint(v int64) {
-	if w.err != nil {
-		return
-	}
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(tmp[:], v)
-	_, w.err = w.w.Write(tmp[:n])
-}
-
-func (w *Writer) byte1(b byte) {
-	if w.err != nil {
-		return
-	}
-	w.err = w.w.WriteByte(b)
-}
-
-func (w *Writer) internString(s string) uint64 {
+// appendString returns s's intern id, appending its string-definition
+// record to b when s is new to the stream.
+func (w *Writer) appendString(b []byte, s string) ([]byte, uint64) {
 	if id, ok := w.strs[s]; ok {
-		return id
+		return b, id
 	}
 	id := uint64(len(w.strs))
 	w.strs[s] = id
-	w.byte1(recStrDef)
-	w.uvarint(id)
-	w.uvarint(uint64(len(s)))
-	if w.err == nil {
-		_, w.err = w.w.WriteString(s)
-	}
-	return id
+	b = append(b, recStrDef)
+	b = binary.AppendUvarint(b, id)
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...), id
 }
 
 // Emit implements Sink: it appends ev to the stream. The event's Rank must
@@ -145,53 +116,55 @@ func (w *Writer) Emit(ev Event) {
 	}
 	w.nextSeq++
 
-	fileID := w.internString(ev.File)
-	funcID := w.internString(ev.Func)
-	w.byte1(recEvent)
-	w.byte1(byte(ev.Kind))
-	w.uvarint(fileID)
-	w.uvarint(funcID)
-	w.varint(int64(ev.Line))
-	w.varint(int64(ev.Comm))
-	w.varint(int64(ev.Peer))
-	w.varint(int64(ev.Tag))
-	w.varint(int64(ev.Req))
-	w.varint(int64(ev.Win))
-	w.varint(int64(ev.Target))
-	w.byte1(byte(ev.Lock))
-	w.byte1(byte(ev.AccOp))
-	w.uvarint(ev.OriginAddr)
-	w.varint(int64(ev.OriginType))
-	w.varint(int64(ev.OriginCount))
-	w.uvarint(ev.TargetDisp)
-	w.varint(int64(ev.TargetType))
-	w.varint(int64(ev.TargetCount))
-	w.uvarint(ev.ResultAddr)
-	w.varint(int64(ev.ResultType))
-	w.varint(int64(ev.ResultCount))
-	w.varint(int64(ev.Assert))
-	w.uvarint(ev.Addr)
-	w.uvarint(ev.Size)
-	w.varint(int64(ev.TypeID))
-	w.uvarint(uint64(len(ev.TypeMap.Segments)))
+	b, fileID := w.appendString(w.buf[:0], ev.File)
+	b, funcID := w.appendString(b, ev.Func)
+	b = append(b, recEvent, byte(ev.Kind))
+	b = binary.AppendUvarint(b, fileID)
+	b = binary.AppendUvarint(b, funcID)
+	b = binary.AppendVarint(b, int64(ev.Line))
+	b = binary.AppendVarint(b, int64(ev.Comm))
+	b = binary.AppendVarint(b, int64(ev.Peer))
+	b = binary.AppendVarint(b, int64(ev.Tag))
+	b = binary.AppendVarint(b, int64(ev.Req))
+	b = binary.AppendVarint(b, int64(ev.Win))
+	b = binary.AppendVarint(b, int64(ev.Target))
+	b = append(b, byte(ev.Lock), byte(ev.AccOp))
+	b = binary.AppendUvarint(b, ev.OriginAddr)
+	b = binary.AppendVarint(b, int64(ev.OriginType))
+	b = binary.AppendVarint(b, int64(ev.OriginCount))
+	b = binary.AppendUvarint(b, ev.TargetDisp)
+	b = binary.AppendVarint(b, int64(ev.TargetType))
+	b = binary.AppendVarint(b, int64(ev.TargetCount))
+	b = binary.AppendUvarint(b, ev.ResultAddr)
+	b = binary.AppendVarint(b, int64(ev.ResultType))
+	b = binary.AppendVarint(b, int64(ev.ResultCount))
+	b = binary.AppendVarint(b, int64(ev.Assert))
+	b = binary.AppendUvarint(b, ev.Addr)
+	b = binary.AppendUvarint(b, ev.Size)
+	b = binary.AppendVarint(b, int64(ev.TypeID))
+	b = binary.AppendUvarint(b, uint64(len(ev.TypeMap.Segments)))
 	for _, s := range ev.TypeMap.Segments {
-		w.uvarint(s.Disp)
-		w.uvarint(s.Len)
+		b = binary.AppendUvarint(b, s.Disp)
+		b = binary.AppendUvarint(b, s.Len)
 	}
-	w.uvarint(ev.TypeMap.Extent)
-	w.uvarint(uint64(len(ev.Members)))
+	b = binary.AppendUvarint(b, ev.TypeMap.Extent)
+	b = binary.AppendUvarint(b, uint64(len(ev.Members)))
 	for _, m := range ev.Members {
-		w.varint(int64(m))
+		b = binary.AppendVarint(b, int64(m))
 	}
-	w.uvarint(ev.WinBase)
-	w.uvarint(ev.WinSize)
-	w.uvarint(uint64(ev.DispUnit))
+	b = binary.AppendUvarint(b, ev.WinBase)
+	b = binary.AppendUvarint(b, ev.WinSize)
+	b = binary.AppendUvarint(b, uint64(ev.DispUnit))
+	w.buf = b
+	_, w.err = w.w.Write(b)
 }
 
 // Close terminates and flushes the stream.
 func (w *Writer) Close() error {
-	w.byte1(recEnd)
 	if w.err != nil {
+		return w.err
+	}
+	if w.err = w.w.WriteByte(recEnd); w.err != nil {
 		return w.err
 	}
 	return w.w.Flush()

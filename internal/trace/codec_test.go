@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -151,5 +152,28 @@ func TestStringInterningSharesTable(t *testing.T) {
 	}
 	if got.Events[99].File != "/very/long/path/to/the/source/file.go" {
 		t.Error("interned string not restored")
+	}
+}
+
+// TestWriterEmitDoesNotAllocate guards the encoder's hot path: once an
+// event's strings are interned, emitting it must not allocate.
+func TestWriterEmitDoesNotAllocate(t *testing.T) {
+	w, err := NewWriter(io.Discard, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := goldenSet().Traces[0].Events[5] // every scalar field set, strings shared
+	ev.Rank, ev.Seq = 4, 0
+	ev.TypeMap = memory.DataMap{Segments: []memory.Segment{{Disp: 1, Len: 2}}, Extent: 3}
+	ev.Members = []int32{0, -1, 7}
+	w.Emit(ev)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		ev.Seq++
+		w.Emit(ev)
+	}); allocs != 0 {
+		t.Errorf("Writer.Emit allocates %.1f times per event, want 0", allocs)
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,7 +3,10 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"repro/internal/memory"
 )
 
 // FuzzReadTrace hardens the binary decoder against corrupt and adversarial
@@ -165,28 +168,73 @@ func TestSalvageEveryTruncationBoundary(t *testing.T) {
 	}
 }
 
-// FuzzRoundTrip: any event assembled from fuzzed fields must survive
+// fieldReader draws event fields from fuzzer bytes, reading zeros once
+// the input runs out.
+type fieldReader struct{ data []byte }
+
+func (r *fieldReader) next(n int) uint64 {
+	var v uint64
+	for i := 0; i < n; i++ {
+		v <<= 8
+		if len(r.data) > 0 {
+			v |= uint64(r.data[0])
+			r.data = r.data[1:]
+		}
+	}
+	return v
+}
+
+func (r *fieldReader) u8() uint8   { return uint8(r.next(1)) }
+func (r *fieldReader) i32() int32  { return int32(r.next(4)) }
+func (r *fieldReader) u64() uint64 { return r.next(8) }
+
+// event builds one event with every encoded field drawn from the input;
+// File and Func are picked from strs so that events share strings.
+func (r *fieldReader) event(rank int32, seq int64, strs []string) Event {
+	ev := Event{
+		Kind: Kind(1 + r.u8()%uint8(kindMax-1)), Rank: rank, Seq: seq,
+		File: strs[int(r.u8())%len(strs)], Line: r.i32(), Func: strs[int(r.u8())%len(strs)],
+		Comm: r.i32(), Peer: r.i32(), Tag: r.i32(), Req: r.i32(),
+		Win: r.i32(), Target: r.i32(), Lock: LockType(r.u8()), AccOp: AccOp(r.u8()),
+		OriginAddr: r.u64(), OriginType: r.i32(), OriginCount: r.i32(),
+		TargetDisp: r.u64(), TargetType: r.i32(), TargetCount: r.i32(),
+		Assert:     r.i32(),
+		ResultAddr: r.u64(), ResultType: r.i32(), ResultCount: r.i32(),
+		Addr: r.u64(), Size: r.u64(), TypeID: r.i32(),
+	}
+	for n := r.u8() % 4; n > 0; n-- {
+		ev.TypeMap.Segments = append(ev.TypeMap.Segments, memory.Segment{Disp: r.u64(), Len: r.u64()})
+	}
+	ev.TypeMap.Extent = r.u64()
+	for n := r.u8() % 4; n > 0; n-- {
+		ev.Members = append(ev.Members, r.i32())
+	}
+	ev.WinBase, ev.WinSize, ev.DispUnit = r.u64(), r.u64(), uint32(r.next(4))
+	return ev
+}
+
+// FuzzRoundTrip: a run of events with every field filled from fuzzed
+// bytes, sharing their file and function strings, must survive
 // encode/decode unchanged.
 func FuzzRoundTrip(f *testing.F) {
-	f.Add(uint8(3), int32(1), int32(2), int64(99), uint64(0x1000), "file.go")
-	f.Fuzz(func(t *testing.T, kind uint8, comm, target int32, disp int64, addr uint64, file string) {
-		k := Kind(kind)
-		if k == KindInvalid || k >= kindMax {
-			return
-		}
-		if disp < 0 {
-			disp = -disp
-		}
-		ev := Event{
-			Kind: k, Rank: 5, Seq: 0, File: file, Comm: comm, Target: target,
-			TargetDisp: uint64(disp), Addr: addr,
+	f.Add([]byte{3, 1, 2, 99, 0x10, 0, 0, 0, 7}, "file.go", "main.main")
+	f.Add(bytes.Repeat([]byte{0xff}, 600), "", "/src/app.go")
+	f.Add(bytes.Repeat([]byte{0x80, 0x01, 0x7f}, 200), "same", "same")
+	f.Fuzz(func(t *testing.T, data []byte, file, fn string) {
+		r := &fieldReader{data: data}
+		strs := []string{file, fn, "", file + fn}
+		evs := make([]Event, 1+r.u8()%6)
+		for i := range evs {
+			evs[i] = r.event(5, int64(i), strs)
 		}
 		var buf bytes.Buffer
 		w, err := NewWriter(&buf, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		w.Emit(ev)
+		for _, ev := range evs {
+			w.Emit(ev)
+		}
 		if err := w.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -194,13 +242,13 @@ func FuzzRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round trip failed: %v", err)
 		}
-		if len(got.Events) != 1 {
-			t.Fatalf("decoded %d events", len(got.Events))
+		if len(got.Events) != len(evs) {
+			t.Fatalf("decoded %d events, want %d", len(got.Events), len(evs))
 		}
-		d := got.Events[0]
-		if d.Kind != k || d.Comm != comm || d.Target != target ||
-			d.TargetDisp != uint64(disp) || d.Addr != addr || d.File != file {
-			t.Fatalf("mismatch: %+v vs input", d)
+		for i := range evs {
+			if !reflect.DeepEqual(normalize(got.Events[i]), normalize(evs[i])) {
+				t.Fatalf("event %d mismatch:\n got %#v\nwant %#v", i, got.Events[i], evs[i])
+			}
 		}
 	})
 }

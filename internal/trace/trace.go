@@ -95,14 +95,25 @@ type Sink interface {
 // MemorySink collects events in memory, one stream per rank. It is safe
 // for concurrent emission from multiple ranks; each rank's stream has its
 // own lock, so ranks do not contend with each other on the hot path.
+//
+// A stream stores its events in chunks whose capacity doubles from
+// firstChunkEvents up to maxChunkEvents, so appending never moves an
+// event already stored and collecting n events allocates little more
+// than n events' worth of chunks.
 type MemorySink struct {
 	mu     sync.RWMutex // guards the byRank map structure
 	byRank map[int32]*rankStream
 }
 
+const (
+	firstChunkEvents = 64
+	maxChunkEvents   = 4096
+)
+
 type rankStream struct {
-	mu  sync.Mutex
-	evs []Event
+	mu     sync.Mutex
+	chunks [][]Event // never empty; chunks[:cur] are full, chunks[cur+1:] are spares kept by Reset
+	cur    int
 }
 
 // NewMemorySink returns an empty in-memory sink.
@@ -122,7 +133,7 @@ func (m *MemorySink) stream(rank int32) *rankStream {
 	if rs, ok = m.byRank[rank]; ok {
 		return rs
 	}
-	rs = &rankStream{}
+	rs = &rankStream{chunks: [][]Event{make([]Event, 0, firstChunkEvents)}}
 	m.byRank[rank] = rs
 	return rs
 }
@@ -131,13 +142,59 @@ func (m *MemorySink) stream(rank int32) *rankStream {
 func (m *MemorySink) Emit(ev Event) {
 	rs := m.stream(ev.Rank)
 	rs.mu.Lock()
-	rs.evs = append(rs.evs, ev)
+	rs.append(ev)
 	rs.mu.Unlock()
 }
 
+func (rs *rankStream) append(ev Event) {
+	c := rs.chunks[rs.cur]
+	if len(c) == cap(c) {
+		rs.cur++
+		if rs.cur == len(rs.chunks) {
+			rs.chunks = append(rs.chunks, make([]Event, 0, min(2*cap(c), maxChunkEvents)))
+		}
+		c = rs.chunks[rs.cur]
+	}
+	rs.chunks[rs.cur] = append(c, ev)
+}
+
+func (rs *rankStream) count() int {
+	n := 0
+	for _, c := range rs.chunks[:rs.cur+1] {
+		n += len(c)
+	}
+	return n
+}
+
+// copyTo copies the stream's events, in order, into dst and returns the
+// extended slice.
+func (rs *rankStream) copyTo(dst []Event) []Event {
+	for _, c := range rs.chunks[:rs.cur+1] {
+		dst = append(dst, c...)
+	}
+	return dst
+}
+
+// contiguous returns the stream's events as one slice aliasing the
+// stream's storage. Events spread over several chunks are first
+// coalesced into a single chunk, which Reset then keeps, so a recycled
+// sink re-collecting a comparable run fills one chunk and aliases it
+// again without copying.
+func (rs *rankStream) contiguous() []Event {
+	if rs.cur == 0 {
+		return rs.chunks[0]
+	}
+	flat := rs.copyTo(make([]Event, 0, rs.count()))
+	clear(rs.chunks)
+	rs.chunks = append(rs.chunks[:0], flat)
+	rs.cur = 0
+	return flat
+}
+
 // Set assembles the collected events into a Set covering ranks [0, n) where
-// n is one past the highest rank seen (or 0 for an empty sink). The
-// per-rank event slices are copies, independent of the sink's buffers.
+// n is one past the highest rank seen (or 0 for an empty sink). Each
+// rank's events are copied once into an exact-size slice, independent of
+// the sink's buffers.
 func (m *MemorySink) Set() *Set {
 	return m.assemble(true)
 }
@@ -165,24 +222,29 @@ func (m *MemorySink) assemble(copyEvents bool) *Set {
 	for r, rs := range m.byRank {
 		rs.mu.Lock()
 		if copyEvents {
-			s.Traces[r].Events = append([]Event(nil), rs.evs...)
+			if n := rs.count(); n > 0 {
+				s.Traces[r].Events = rs.copyTo(make([]Event, 0, n))
+			}
 		} else {
-			s.Traces[r].Events = rs.evs
+			s.Traces[r].Events = rs.contiguous()
 		}
 		rs.mu.Unlock()
 	}
 	return s
 }
 
-// Reset clears the sink for reuse, keeping the per-rank buffers' capacity
-// so a recycled sink re-collects a comparable run without reallocating.
+// Reset clears the sink for reuse, keeping the per-rank chunks so a
+// recycled sink re-collects a comparable run without reallocating.
 // Any Set previously obtained through TakeSet is invalidated.
 func (m *MemorySink) Reset() {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for _, rs := range m.byRank {
 		rs.mu.Lock()
-		rs.evs = rs.evs[:0]
+		for i := range rs.chunks {
+			rs.chunks[i] = rs.chunks[i][:0]
+		}
+		rs.cur = 0
 		rs.mu.Unlock()
 	}
 }

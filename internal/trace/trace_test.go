@@ -184,3 +184,72 @@ func TestSortedKinds(t *testing.T) {
 		t.Errorf("SortedKinds = %v, want %v", got, want)
 	}
 }
+
+// emitN emits n load events for rank with Addr = base+i.
+func emitN(sink *MemorySink, rank int32, n int, base uint64) {
+	for i := 0; i < n; i++ {
+		sink.Emit(Event{Kind: KindLoad, Rank: rank, Seq: int64(i), Addr: base + uint64(i)})
+	}
+}
+
+func checkAddrs(t *testing.T, what string, evs []Event, n int, base uint64) {
+	t.Helper()
+	if len(evs) != n {
+		t.Fatalf("%s: %d events, want %d", what, len(evs), n)
+	}
+	for i := range evs {
+		if evs[i].Addr != base+uint64(i) || evs[i].Seq != int64(i) {
+			t.Fatalf("%s: event %d = seq %d addr %d", what, i, evs[i].Seq, evs[i].Addr)
+		}
+	}
+}
+
+// TestMemorySinkChunks crosses every chunk boundary up to the chunk cap
+// and checks that Set and TakeSet return the events in emission order,
+// with Set's slices exact-size and independent of the sink.
+func TestMemorySinkChunks(t *testing.T) {
+	for _, n := range []int{0, 1, firstChunkEvents - 1, firstChunkEvents, firstChunkEvents + 1,
+		3 * firstChunkEvents, 2*maxChunkEvents + 5} {
+		sink := NewMemorySink()
+		emitN(sink, 0, n, 1000)
+		emitN(sink, 2, 3, 0)
+		s := sink.Set()
+		checkAddrs(t, "Set", s.Traces[0].Events, n, 1000)
+		if cap(s.Traces[0].Events) != n {
+			t.Errorf("n=%d: Set slice has cap %d", n, cap(s.Traces[0].Events))
+		}
+		if s.Ranks() != 3 || len(s.Traces[1].Events) != 0 {
+			t.Fatalf("n=%d: ranks=%d, rank 1 holds %d events", n, s.Ranks(), len(s.Traces[1].Events))
+		}
+		taken := sink.TakeSet()
+		checkAddrs(t, "TakeSet", taken.Traces[0].Events, n, 1000)
+		sink.Reset()
+		emitN(sink, 0, n, 5000)
+		checkAddrs(t, "Set after Reset", s.Traces[0].Events, n, 1000)
+	}
+}
+
+// TestMemorySinkRecycles pins the recycling contract explore relies on:
+// TakeSet aliases the sink's storage, and after Reset a comparable run is
+// re-collected and taken again without allocating.
+func TestMemorySinkRecycles(t *testing.T) {
+	const n = 3*maxChunkEvents + 17
+	sink := NewMemorySink()
+	emitN(sink, 1, n, 0)
+	first := sink.TakeSet().Traces[1].Events
+	checkAddrs(t, "first run", first, n, 0)
+	allocs := testing.AllocsPerRun(3, func() {
+		sink.Reset()
+		emitN(sink, 1, n, 7)
+		evs := sink.TakeSet().Traces[1].Events
+		if &evs[0] != &first[0] {
+			t.Fatal("TakeSet after Reset does not alias the recycled storage")
+		}
+	})
+	checkAddrs(t, "recycled run", first, n, 7)
+	// TakeSet's Set header and its per-rank Trace values are the only
+	// allocations left.
+	if allocs > 4 {
+		t.Errorf("recycled collection allocates %.0f times, want <= 4", allocs)
+	}
+}
