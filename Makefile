@@ -36,13 +36,13 @@ shadow-smoke:
 # Fuzz the shadow engine against the pairwise oracle on generated RMA
 # programs: any disagreement between the two engines is a crasher.
 fuzz-shadow:
-	$(GO) test -fuzz FuzzShadowDifferential -fuzztime 30s .
+	$(GO) test -run NONE -fuzz '^FuzzShadowDifferential$$' -fuzztime 30s .
 
 # Fuzz the indexed within-epoch detector against the all-pairs oracle on
 # generated RMA programs with flushes inserted: any report that differs
 # is a crasher.
 fuzz-intra:
-	$(GO) test -fuzz FuzzIntraEpochDifferential -fuzztime 30s ./internal/core
+	$(GO) test -run NONE -fuzz '^FuzzIntraEpochDifferential$$' -fuzztime 30s ./internal/core
 
 # Static epoch-state checker over the bundled apps (buggy variants),
 # compared against the checked-in golden report; exits 1 on drift.

@@ -8,9 +8,11 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/gen"
 	"repro/internal/mpi"
 	"repro/internal/profiler"
+	"repro/internal/testutil"
 	"repro/internal/trace"
 )
 
@@ -200,6 +202,110 @@ func TestShadowPairwiseDifferentialSweep(t *testing.T) {
 			}
 		})
 	}
+
+	// Hand-built regions that stress the shadow store's deferred cover:
+	// the benchmark's hot region with its puts permuted as perfbench
+	// permutes them, puts of one rank that overlap each other before
+	// later ranks split their cells, and windows sharing one buffer.
+	type builtCase struct {
+		name string
+		set  *trace.Set
+	}
+	var built []builtCase
+	for seed := int64(1); seed <= 3; seed++ {
+		built = append(built, builtCase{fmt.Sprintf("built/hot-seed%d", seed), experiments.PermutedShadowRegion(8, 1024, seed)})
+	}
+	built = append(built,
+		builtCase{"built/overlap-split", overlapSplitRegion()},
+		builtCase{"built/two-windows", twoWindowRegion()})
+	for _, c := range built {
+		t.Run(c.name, func(t *testing.T) {
+			for _, w := range workerCounts {
+				checkEngineAgreement(t, c.set, w)
+			}
+		})
+	}
+}
+
+// rmaOp appends a one-sided operation of n bytes at byte displacement
+// disp of window win at rank 0, from the same displacement of a private
+// origin buffer.
+func rmaOp(b *testutil.TraceBuilder, rank int32, kind trace.Kind, acc trace.AccOp,
+	win int32, disp, n uint64, line int32) {
+	b.Add(rank, trace.Event{Kind: kind, Win: win, Target: 0, AccOp: acc,
+		OriginAddr: 0x8000 + disp, OriginType: trace.TypeByte, OriginCount: int32(n),
+		TargetDisp: disp, TargetType: trace.TypeByte, TargetCount: int32(n),
+		File: "built.go", Line: line})
+}
+
+// lockAll opens (or with unlock, closes) a shared lock on window win at
+// rank 0 from every origin rank.
+func lockAll(b *testutil.TraceBuilder, ranks int32, win int32, unlock bool) {
+	for r := int32(1); r < ranks; r++ {
+		ev := trace.Event{Kind: trace.KindWinLock, Win: win, Target: 0, Lock: trace.LockShared}
+		if unlock {
+			ev = trace.Event{Kind: trace.KindWinUnlock, Win: win, Target: 0}
+		}
+		b.Add(r, ev)
+	}
+}
+
+// overlapSplitRegion is one concurrent region against rank 0's window:
+// rank 1's puts overlap each other, so its own members share and split
+// cells; ranks 2 and 3 then cut those cells again with puts, accumulates
+// and a get, from call sites repeated in a loop; rank 0 loads and stores
+// into the window meanwhile, inside and outside the remote footprints.
+func overlapSplitRegion() *trace.Set {
+	b := testutil.NewTraceBuilder(4)
+	b.WinCreate(1, 0x1000, 256)
+	lockAll(b, 4, 1, false)
+	for i := uint64(0); i < 3; i++ {
+		rmaOp(b, 1, trace.KindPut, trace.OpNone, 1, 0+i, 64, 1)
+		rmaOp(b, 1, trace.KindPut, trace.OpNone, 1, 32, 64, 2)
+		rmaOp(b, 1, trace.KindPut, trace.OpNone, 1, 16+4*i, 32, 3)
+		rmaOp(b, 1, trace.KindAccumulate, trace.OpSum, 1, 80, 40, 4)
+
+		rmaOp(b, 2, trace.KindPut, trace.OpNone, 1, 40+8*i, 16, 5)
+		rmaOp(b, 2, trace.KindAccumulate, trace.OpSum, 1, 76, 8, 6)
+		rmaOp(b, 2, trace.KindAccumulate, trace.OpMax, 1, 60+i, 40, 7)
+
+		rmaOp(b, 3, trace.KindGet, trace.OpNone, 1, 10, 80, 8)
+		rmaOp(b, 3, trace.KindPut, trace.OpNone, 1, 100+2*i, 4, 9)
+		rmaOp(b, 3, trace.KindAccumulate, trace.OpSum, 1, 0, 128, 10)
+
+		b.Add(0, trace.Event{Kind: trace.KindStore, Addr: 0x1000 + 20 + i, Size: 8, File: "built.go", Line: 11})
+		b.Add(0, trace.Event{Kind: trace.KindLoad, Addr: 0x1000 + 90, Size: 4, File: "built.go", Line: 12})
+		b.Add(0, trace.Event{Kind: trace.KindStore, Addr: 0x1000 + 200, Size: 4, File: "built.go", Line: 13})
+	}
+	lockAll(b, 4, 1, true)
+	return b.Set()
+}
+
+// twoWindowRegion exposes one buffer at rank 0 through windows 1 and 2
+// and its upper half through window 3. Ranks 1 and 2 put and accumulate
+// through all three while rank 0 stores and loads across the buffer, so
+// every local access is checked against several windows' vectors.
+func twoWindowRegion() *trace.Set {
+	b := testutil.NewTraceBuilder(3)
+	b.WinCreate(1, 0x1000, 128)
+	b.WinCreate(2, 0x1000, 128)
+	b.WinCreate(3, 0x1040, 64)
+	for _, win := range []int32{1, 2, 3} {
+		lockAll(b, 3, win, false)
+	}
+	rmaOp(b, 1, trace.KindPut, trace.OpNone, 2, 0, 16, 1)
+	rmaOp(b, 1, trace.KindPut, trace.OpNone, 1, 8, 16, 2)
+	rmaOp(b, 1, trace.KindPut, trace.OpNone, 3, 0, 8, 3)
+	rmaOp(b, 2, trace.KindAccumulate, trace.OpSum, 2, 4, 8, 4)
+	rmaOp(b, 2, trace.KindPut, trace.OpNone, 1, 64, 16, 5)
+	rmaOp(b, 2, trace.KindGet, trace.OpNone, 3, 4, 8, 6)
+	b.Add(0, trace.Event{Kind: trace.KindStore, Addr: 0x1000 + 10, Size: 4, File: "built.go", Line: 7})
+	b.Add(0, trace.Event{Kind: trace.KindLoad, Addr: 0x1000 + 66, Size: 8, File: "built.go", Line: 8})
+	b.Add(0, trace.Event{Kind: trace.KindStore, Addr: 0x1000 + 120, Size: 4, File: "built.go", Line: 9})
+	for _, win := range []int32{1, 2, 3} {
+		lockAll(b, 3, win, true)
+	}
+	return b.Set()
 }
 
 // FuzzShadowDifferential drives the differential engine over generated

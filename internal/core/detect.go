@@ -259,9 +259,12 @@ type collector struct {
 	report *Report
 	vindex map[string]*Violation
 	intra  *epochBuffers // checkEpoch's buffers, shared by the scopes of one worker
+	cross  *shadowRegion // the shadow engine's state, reset per region, shared likewise
 }
 
-func (c *collector) add(v *Violation) { c.report.add(c.vindex, v) }
+// add records v and returns the violation the report holds for its key:
+// v itself when new, else the earlier instance v was folded into.
+func (c *collector) add(v *Violation) *Violation { return c.report.add(c.vindex, v) }
 
 // parallelCollect runs check over n independent scopes (epochs, regions).
 // With Workers <= 1 (or fewer than two scopes) the scopes share the
@@ -283,7 +286,7 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 		return tr.Start(track, tr.Lane(fmt.Sprintf("worker %d", worker), s), s)
 	}
 	if a.opts.Workers <= 1 || n < 2 {
-		col := &collector{report: a.report, vindex: a.vindex, intra: new(epochBuffers)}
+		col := &collector{report: a.report, vindex: a.vindex, intra: new(epochBuffers), cross: new(shadowRegion)}
 		for i := 0; i < n; i++ {
 			if err := a.opts.ctxErr(); err != nil {
 				return err
@@ -314,12 +317,13 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 		go func(w int) {
 			defer wg.Done()
 			var bufs epochBuffers
+			var cross shadowRegion
 			for i := range work {
 				if err := a.opts.ctxErr(); err != nil {
 					results[i] = result{col: &collector{report: &Report{}}, err: err}
 					continue // keep draining so the feeder never blocks
 				}
-				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, intra: &bufs}
+				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, intra: &bufs, cross: &cross}
 				sp := startSpan(w, i)
 				err := check(i, col)
 				sp.End()
@@ -383,7 +387,7 @@ func (a *Analyzer) checkRegion(rg dag.Region, col *collector) error {
 					continue
 				}
 				a.addCross(col, rg, prev.epoch, cur.epoch, &Violation{
-					Severity: a.rmaPairSeverity(prev, &cur),
+					Severity: rmaPairSeverity(prev.epoch, cur.epoch),
 					Class:    AcrossProcesses,
 					Rule: fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window",
 						prev.ev.Kind, ev.Kind),
@@ -410,9 +414,12 @@ func (a *Analyzer) checkRegion(rg dag.Region, col *collector) error {
 // (store-class at completion), and the logged message buffers of
 // point-to-point and collective calls ("all MPI calls performed to a
 // local buffer"). Shared by the pairwise and shadow engines so the two
-// cannot drift on what counts as a local access.
+// cannot drift on what counts as a local access. A load or store's
+// footprint lives in one slice reused across visits; visit must not keep
+// it.
 func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 	visit func(ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool) error) error {
+	access := make([]memory.Interval, 1)
 	for r := 0; r < a.m.Set.Ranks(); r++ {
 		t := a.m.Set.Traces[r]
 		lo, hi := rg.Span(int32(r))
@@ -424,7 +431,8 @@ func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 				if ev.Kind == trace.KindStore {
 					cls = OpStore
 				}
-				if err := visit(ev, cls, model.AccessFootprint(ev), true); err != nil {
+				access[0] = memory.Iv(ev.Addr, ev.Size)
+				if err := visit(ev, cls, model.Footprint{Rank: ev.Rank, Intervals: access}, true); err != nil {
 					return err
 				}
 			case ev.Kind.IsRMAComm():
@@ -469,58 +477,62 @@ func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 
 // checkLocalAgainstVectors compares one local operation of process
 // fp.Rank against the remote one-sided operations stored for windows at
-// that process. storeRuleApplies enables the MPI-2.2 rule that a local
+// that process: per footprint interval, the vector of every window whose
+// buffer it overlaps, in ascending window ID. storeRuleApplies enables the MPI-2.2 rule that a local
 // store may not be concurrent with any Put or Accumulate epoch exposing
 // the same window, even without byte overlap.
 func (a *Analyzer) checkLocalAgainstVectors(rg dag.Region, vectors map[winTarget][]storedOp,
 	ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool, col *collector) {
 	for _, iv := range fp.Intervals {
-		wi, ok := a.m.WindowAt(fp.Rank, iv)
-		if !ok {
-			continue
-		}
-		for i := range vectors[winTarget{win: wi.ID, tw: fp.Rank}] {
-			op := &vectors[winTarget{win: wi.ID, tw: fp.Rank}][i]
-			if op.ev.Rank == ev.Rank {
+		for _, w := range a.m.RankWindows(fp.Rank) {
+			if !w.Buf.Overlaps(iv) {
 				continue
 			}
-			if !a.d.Concurrent(op.ev.ID(), ev.ID()) {
-				continue
-			}
-			opCls, _ := OpOf(op.ev.Kind)
-			cell := Table(opCls, cls)
-			var overlapIv memory.Interval
-			conflict := false
-			switch cell {
-			case Both:
-				continue
-			case NonOverlap:
-				overlapIv, conflict = fp.Overlaps(op.target)
-			case Error:
-				// Store vs Put/Acc: erroneous without overlap — but only
-				// for true local stores, not Get origin-buffer writes.
-				if storeRuleApplies {
-					conflict = true
-					overlapIv, _ = fp.Overlaps(op.target)
-				} else {
-					overlapIv, conflict = fp.Overlaps(op.target)
+			wi := w.Info
+			vec := vectors[winTarget{win: wi.ID, tw: fp.Rank}]
+			for i := range vec {
+				op := &vec[i]
+				if op.ev.Rank == ev.Rank {
+					continue
 				}
+				if !a.d.Concurrent(op.ev.ID(), ev.ID()) {
+					continue
+				}
+				opCls, _ := OpOf(op.ev.Kind)
+				cell := Table(opCls, cls)
+				var overlapIv memory.Interval
+				conflict := false
+				switch cell {
+				case Both:
+					continue
+				case NonOverlap:
+					overlapIv, conflict = fp.Overlaps(op.target)
+				case Error:
+					// Store vs Put/Acc: erroneous without overlap — but only
+					// for true local stores, not Get origin-buffer writes.
+					if storeRuleApplies {
+						conflict = true
+						overlapIv, _ = fp.Overlaps(op.target)
+					} else {
+						overlapIv, conflict = fp.Overlaps(op.target)
+					}
+				}
+				if !conflict {
+					continue
+				}
+				rule := fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s",
+					cls, op.ev.Kind)
+				if cell == Error && overlapIv.Empty() {
+					rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
+						cls, wi.ID, op.ev.Kind)
+				}
+				a.addCross(col, rg, op.epoch, a.opEpoch[ev.ID()], &Violation{
+					Severity: localPairSeverity(op.epoch),
+					Class:    AcrossProcesses,
+					Rule:     rule,
+					A:        *op.ev, B: *ev, Win: wi.ID, Overlap: overlapIv, Region: rg.Index,
+				})
 			}
-			if !conflict {
-				continue
-			}
-			rule := fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s",
-				cls, op.ev.Kind)
-			if cell == Error && overlapIv.Empty() {
-				rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
-					cls, wi.ID, op.ev.Kind)
-			}
-			a.addCross(col, rg, op.epoch, a.opEpoch[ev.ID()], &Violation{
-				Severity: a.localPairSeverity(op),
-				Class:    AcrossProcesses,
-				Rule:     rule,
-				A:        *op.ev, B: *ev, Win: wi.ID, Overlap: overlapIv, Region: rg.Index,
-			})
 		}
 	}
 }
@@ -528,17 +540,19 @@ func (a *Analyzer) checkLocalAgainstVectors(rg dag.Region, vectors map[winTarget
 // rmaPairSeverity downgrades conflicts serialized by exclusive locks to
 // warnings (paper §VII-A-2: the original lockopts bug with an exclusive
 // lock is reported as a warning only).
-func (a *Analyzer) rmaPairSeverity(x, y *storedOp) Severity {
-	if x.epoch != nil && y.epoch != nil &&
-		x.epoch.Kind == EpochLockExclusive && y.epoch.Kind == EpochLockExclusive &&
-		x.epoch.Target == y.epoch.Target {
+func rmaPairSeverity(x, y *Epoch) Severity {
+	if x != nil && y != nil &&
+		x.Kind == EpochLockExclusive && y.Kind == EpochLockExclusive &&
+		x.Target == y.Target {
 		return SevWarning
 	}
 	return SevError
 }
 
-func (a *Analyzer) localPairSeverity(op *storedOp) Severity {
-	if op.epoch != nil && op.epoch.Kind == EpochLockExclusive {
+// localPairSeverity grades a local access against a remote operation of
+// epoch e the same way.
+func localPairSeverity(e *Epoch) Severity {
+	if e != nil && e.Kind == EpochLockExclusive {
 		return SevWarning
 	}
 	return SevError

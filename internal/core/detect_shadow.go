@@ -28,9 +28,14 @@ package core
 //   - the store emits matches in vector insertion order, which keeps
 //     the first recorded instance of every dedup key — and therefore
 //     the surviving representative fields and witness — identical to
-//     the pairwise scan.
+//     the pairwise scan;
+//   - a repeated instance of a dedup key is recognised by its site pair,
+//     window and rule family (crossKey) and only bumps the count of the
+//     violation the collector holds; the key string, the Violation and
+//     its witness closure are built once per key.
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dag"
 	"repro/internal/model"
@@ -56,18 +61,37 @@ type localRuleKey struct {
 	noOverlap bool
 }
 
-// shadowRegion is the per-region state of the shadow engine: the store,
-// the stored-op payload arena, and the interning tables (operation
-// classes, access sites, rule strings) that keep the emit path free of
-// fmt.Sprintf calls.
+// crossKey stands for a dedup key without its string: two access sites
+// (each fixing its kind and source location), the window, and the rule
+// family — 0 for an RMA pair, whose rule follows from the two kinds, and
+// 1 + 2·class (+1 for the no-overlap variant) for a local access.
+type crossKey struct {
+	a, b shadow.SiteID
+	win  int32
+	rule uint8
+}
+
+// shadowOp is one stored one-sided operation. Its epoch is looked up
+// only when the operation first matches.
+type shadowOp struct {
+	ev     *trace.Event
+	target model.Footprint
+}
+
+// shadowRegion is the shadow engine's state for the region being
+// checked: the store, the stored-op payload arena, a dedup cache, and
+// interning tables (operation classes, access sites, rule strings) that
+// keep the emit path free of fmt.Sprintf calls. One shadowRegion serves
+// every region a worker checks: reset empties the per-region parts, and
+// the tables, which are pure functions of their keys, carry over. A site
+// is interned and rendered only once an access matches.
 type shadowRegion struct {
 	a  *Analyzer
 	st *shadow.Store
 
-	ops    []storedOp      // arena: Access.Payload indexes this
-	opSite []shadow.SiteID // site of each stored op, parallel to ops
+	ops    []shadowOp      // arena: Access.Payload indexes this
+	opSite []shadow.SiteID // site of each stored op, -1 until it first matches
 
-	depot   *shadow.Depot
 	siteOps []string // rendered operand (operandString short=false) per SiteID
 
 	classIdx map[opClassKey]int32
@@ -75,28 +99,52 @@ type shadowRegion struct {
 
 	pairRules  map[[2]trace.Kind]string
 	localRules map[localRuleKey]string
+
+	// seen maps dedup keys to the violation col holds for each, so a
+	// repeated instance costs one Count++. It lives as long as col: one
+	// region on a worker pool, the whole pass when regions run serially.
+	col  *collector
+	seen map[crossKey]*Violation
 }
 
-func newShadowRegion(a *Analyzer) *shadowRegion {
-	depot := shadow.NewDepot()
-	return &shadowRegion{
-		a:          a,
-		st:         shadow.NewStore(depot),
-		depot:      depot,
-		classIdx:   map[opClassKey]int32{},
-		pairRules:  map[[2]trace.Kind]string{},
-		localRules: map[localRuleKey]string{},
+// reset readies sr for a region of n one-sided operations whose
+// violations go to col.
+func (sr *shadowRegion) reset(a *Analyzer, col *collector, n int) {
+	if sr.st == nil {
+		*sr = shadowRegion{
+			st:         shadow.NewStore(shadow.NewDepot()),
+			classIdx:   map[opClassKey]int32{},
+			pairRules:  map[[2]trace.Kind]string{},
+			localRules: map[localRuleKey]string{},
+			seen:       map[crossKey]*Violation{},
+		}
+	}
+	sr.a = a
+	sr.st.Reset(n)
+	sr.ops = slices.Grow(sr.ops[:0], n)
+	sr.opSite = slices.Grow(sr.opSite[:0], n)
+	if sr.col != col {
+		sr.col = col
+		clear(sr.seen)
 	}
 }
 
-// siteOf interns an event's access site, rendering its operand string
+// site interns an event's access site, rendering its operand string
 // (shared by dedup-key presetting and witness/report rendering) once.
-func (sr *shadowRegion) siteOf(ev *trace.Event) shadow.SiteID {
-	id, fresh := sr.depot.Intern(uint8(ev.Kind), ev.File, ev.Line, ev.Func)
+func (sr *shadowRegion) site(ev *trace.Event) shadow.SiteID {
+	id, fresh := sr.st.Depot().Intern(uint8(ev.Kind), ev.File, ev.Line, ev.Func)
 	if fresh {
 		sr.siteOps = append(sr.siteOps, operandString(ev, false))
 	}
 	return id
+}
+
+// storedSite is the site of stored op payload, interned on first use.
+func (sr *shadowRegion) storedSite(payload int32) shadow.SiteID {
+	if sr.opSite[payload] < 0 {
+		sr.opSite[payload] = sr.site(sr.ops[payload].ev)
+	}
+	return sr.opSite[payload]
 }
 
 // classOf interns an event's operation class.
@@ -140,6 +188,26 @@ func (sr *shadowRegion) localRule(cls Op, kind trace.Kind, win int32, noOverlap 
 	return r
 }
 
+// repeat folds an instance whose key is cached into the violation the
+// collector holds and reports whether it did.
+func (sr *shadowRegion) repeat(k crossKey) bool {
+	held := sr.seen[k]
+	if held == nil {
+		return false
+	}
+	held.Count++
+	return true
+}
+
+// first records an instance whose key is not cached through the
+// collector's key index, which folds it into an earlier instance whose
+// key renders to the same string, and caches the violation the index
+// holds.
+func (sr *shadowRegion) first(k crossKey, rg dag.Region, aEpoch, bEpoch *Epoch, v *Violation) {
+	presetKey(v, sr.siteOps[k.a], sr.siteOps[k.b])
+	sr.seen[k] = sr.a.addCross(sr.col, rg, aEpoch, bEpoch, v)
+}
+
 // detectCrossProcessShadow is detectCrossProcess with the shadow engine
 // per region; the parallelization and merge order are identical.
 func (a *Analyzer) detectCrossProcessShadow() error {
@@ -152,24 +220,35 @@ func (a *Analyzer) detectCrossProcessShadow() error {
 }
 
 func (a *Analyzer) checkRegionShadow(rg dag.Region, col *collector) error {
-	sr := newShadowRegion(a)
+	rma := 0
+	for r := 0; r < a.m.Set.Ranks(); r++ {
+		lo, hi := rg.Span(int32(r))
+		evs := a.m.Set.Traces[r].Events[lo:hi]
+		for i := range evs {
+			if evs[i].Kind.IsRMAComm() {
+				rma++
+			}
+		}
+	}
+	sr := col.cross
+	sr.reset(a, col, rma)
 
 	// Step 1: remote one-sided operations. Each is checked against the
 	// store (same check-then-insert discipline as the pairwise vector
 	// scan, so an operation never matches itself or its successors).
-	if err := sr.matchRMA(rg, col); err != nil {
+	if err := sr.matchRMA(rg); err != nil {
 		return err
 	}
 
 	// Step 2: local operations at each target process, via the walker
 	// shared with the pairwise engine.
 	return a.forEachLocalAccess(rg, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
-		sr.checkLocal(rg, ev, cls, fp, storeRule, col)
+		sr.checkLocal(rg, ev, cls, fp, storeRule)
 		return nil
 	})
 }
 
-func (sr *shadowRegion) matchRMA(rg dag.Region, col *collector) error {
+func (sr *shadowRegion) matchRMA(rg dag.Region) error {
 	a := sr.a
 	for r := 0; r < a.m.Set.Ranks(); r++ {
 		t := a.m.Set.Traces[r]
@@ -185,8 +264,9 @@ func (sr *shadowRegion) matchRMA(rg dag.Region, col *collector) error {
 			}
 			id := ev.ID()
 			key := shadow.VectorKey{Win: ev.Win, Target: target.Rank}
-			cur := storedOp{ev: ev, target: target, epoch: a.opEpoch[id]}
-			curSite := sr.siteOf(ev)
+			payload := int32(len(sr.ops))
+			sr.ops = append(sr.ops, shadowOp{ev: ev, target: target})
+			sr.opSite = append(sr.opSite, -1)
 			clock := a.d.ClockRef(id)
 
 			sr.st.Query(key, shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: clock},
@@ -201,24 +281,24 @@ func (sr *shadowRegion) matchRMA(rg dag.Region, col *collector) error {
 					}
 					return shadow.ModeOverlap
 				},
-				func(payload int32) {
-					prev := &sr.ops[payload]
+				func(p int32) {
+					k := crossKey{a: sr.storedSite(p), b: sr.storedSite(payload), win: ev.Win}
+					if sr.repeat(k) {
+						return
+					}
+					prev := &sr.ops[p]
 					iv, _ := target.Overlaps(prev.target)
-					v := &Violation{
-						Severity: a.rmaPairSeverity(prev, &cur),
+					prevEpoch, curEpoch := a.opEpoch[prev.ev.ID()], a.opEpoch[id]
+					sr.first(k, rg, prevEpoch, curEpoch, &Violation{
+						Severity: rmaPairSeverity(prevEpoch, curEpoch),
 						Class:    AcrossProcesses,
 						Rule:     sr.pairRule(prev.ev.Kind, ev.Kind),
 						A:        *prev.ev, B: *ev, Win: ev.Win, Overlap: iv, Region: rg.Index,
-					}
-					presetKey(v, sr.siteOps[sr.opSite[payload]], sr.siteOps[curSite])
-					a.addCross(col, rg, prev.epoch, cur.epoch, v)
+					})
 				})
 
-			payload := int32(len(sr.ops))
-			sr.ops = append(sr.ops, cur)
-			sr.opSite = append(sr.opSite, curSite)
 			sr.st.Insert(key, shadow.Access{
-				Payload: payload, Rank: ev.Rank, Class: sr.classOf(ev), Site: curSite,
+				Payload: payload, Rank: ev.Rank, Class: sr.classOf(ev),
 				Seq: id.Seq, Clock: clock, Target: target.Intervals,
 			})
 		}
@@ -227,60 +307,67 @@ func (sr *shadowRegion) matchRMA(rg dag.Region, col *collector) error {
 }
 
 // checkLocal is checkLocalAgainstVectors over the store: one query per
-// (footprint interval → window) hit, probing with the full footprint —
-// the pairwise scan's conflict test uses the whole footprint too, and
-// its per-interval vector rescans (which multiply dedup counts) are
-// reproduced by issuing one store query per hit.
+// (footprint interval, overlapping window) hit, probing with the full
+// footprint — the pairwise scan's conflict test uses the whole footprint
+// too, and its per-interval vector rescans (which multiply dedup counts)
+// are reproduced by issuing one store query per hit.
 func (sr *shadowRegion) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
-	fp model.Footprint, storeRule bool, col *collector) {
+	fp model.Footprint, storeRule bool) {
 	a := sr.a
 	id := ev.ID()
-	evEpoch := a.opEpoch[id]
 	q := shadow.Query{Rank: ev.Rank, Seq: id.Seq, Clock: a.d.ClockRef(id)}
 	evSite := shadow.SiteID(-1)
 
 	for _, iv := range fp.Intervals {
-		wi, ok := a.m.WindowAt(fp.Rank, iv)
-		if !ok {
-			continue
-		}
-		sr.st.Query(shadow.VectorKey{Win: wi.ID, Target: fp.Rank}, q, fp.Intervals,
-			func(rank, class int32) shadow.Mode {
-				if rank == ev.Rank {
-					return shadow.ModeSkip
-				}
-				opCls, _ := OpOf(sr.classRep[class].Kind)
-				switch Table(opCls, cls) {
-				case Both:
-					return shadow.ModeSkip
-				case Error:
-					// Store vs Put/Acc: erroneous without overlap — but only
-					// for true local stores, not Get origin-buffer writes.
-					if storeRule {
-						return shadow.ModeAll
+		for _, w := range a.m.RankWindows(fp.Rank) {
+			if !w.Buf.Overlaps(iv) {
+				continue
+			}
+			win := w.Info.ID
+			sr.st.Query(shadow.VectorKey{Win: win, Target: fp.Rank}, q, fp.Intervals,
+				func(rank, class int32) shadow.Mode {
+					if rank == ev.Rank {
+						return shadow.ModeSkip
 					}
-					return shadow.ModeOverlap
-				default: // NonOverlap
-					return shadow.ModeOverlap
-				}
-			},
-			func(payload int32) {
-				op := &sr.ops[payload]
-				overlapIv, _ := fp.Overlaps(op.target)
-				opCls, _ := OpOf(op.ev.Kind)
-				noOverlap := Table(opCls, cls) == Error && overlapIv.Empty()
-				if evSite < 0 {
-					evSite = sr.siteOf(ev)
-				}
-				v := &Violation{
-					Severity: a.localPairSeverity(op),
-					Class:    AcrossProcesses,
-					Rule:     sr.localRule(cls, op.ev.Kind, wi.ID, noOverlap),
-					A:        *op.ev, B: *ev, Win: wi.ID, Overlap: overlapIv, Region: rg.Index,
-				}
-				presetKey(v, sr.siteOps[sr.opSite[payload]], sr.siteOps[evSite])
-				a.addCross(col, rg, op.epoch, evEpoch, v)
-			})
+					opCls, _ := OpOf(sr.classRep[class].Kind)
+					switch Table(opCls, cls) {
+					case Both:
+						return shadow.ModeSkip
+					case Error:
+						// Store vs Put/Acc: erroneous without overlap — but only
+						// for true local stores, not Get origin-buffer writes.
+						if storeRule {
+							return shadow.ModeAll
+						}
+						return shadow.ModeOverlap
+					default: // NonOverlap
+						return shadow.ModeOverlap
+					}
+				},
+				func(payload int32) {
+					op := &sr.ops[payload]
+					overlapIv, _ := fp.Overlaps(op.target)
+					opCls, _ := OpOf(op.ev.Kind)
+					noOverlap := Table(opCls, cls) == Error && overlapIv.Empty()
+					if evSite < 0 {
+						evSite = sr.site(ev)
+					}
+					k := crossKey{a: sr.storedSite(payload), b: evSite, win: win, rule: 1 + 2*uint8(cls)}
+					if noOverlap {
+						k.rule++
+					}
+					if sr.repeat(k) {
+						return
+					}
+					opEpoch := a.opEpoch[op.ev.ID()]
+					sr.first(k, rg, opEpoch, a.opEpoch[id], &Violation{
+						Severity: localPairSeverity(opEpoch),
+						Class:    AcrossProcesses,
+						Rule:     sr.localRule(cls, op.ev.Kind, win, noOverlap),
+						A:        *op.ev, B: *ev, Win: win, Overlap: overlapIv, Region: rg.Index,
+					})
+				})
+		}
 	}
 }
 

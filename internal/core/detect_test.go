@@ -573,3 +573,70 @@ func TestIntraEpochAllocsLinear(t *testing.T) {
 		t.Errorf("allocs: %v for 256 puts, %v for 1024 puts (> 4.25x)", small, large)
 	}
 }
+
+// Two windows expose one buffer and the remote Put goes through the
+// higher ID. The concurrent local store must be checked against every
+// window over its bytes, so the conflict is reported on every run, not
+// only when map iteration happens to visit window 2 first.
+func TestSharedBufferWindowsCheckedInIDOrder(t *testing.T) {
+	for run := 0; run < 32; run++ {
+		b := testutil.NewTraceBuilder(2)
+		b.WinCreate(1, 0x1000, 64)
+		b.WinCreate(2, 0x1000, 64)
+		b.Fence(2)
+		put := putEv(1, 0x500, 0, 10)
+		put.Win = 2
+		b.Add(0, put)
+		b.Add(1, loc(trace.Event{Kind: trace.KindStore, Addr: 0x1000, Size: 4}, 11))
+		b.Fence(2)
+		v := onlyViolation(t, analyze(t, b))
+		if v.Class != AcrossProcesses || v.Win != 2 || v.A.Kind != trace.KindPut || v.B.Kind != trace.KindStore {
+			t.Fatalf("run %d: violation = %v", run, v)
+		}
+	}
+}
+
+// crossPuts builds one concurrent region in which ranks 1 and 2 each put
+// n/2 times, from one call site in a loop, into the same 16 words of
+// rank 0's window under shared locks. Every put conflicts with a
+// sixteenth of the other origin's puts: the instances grow as n²/64
+// while the report holds one violation.
+func crossPuts(n int) *trace.Set {
+	b := testutil.NewTraceBuilder(3)
+	b.WinCreate(1, 0x100000, 8*16)
+	for r := int32(1); r <= 2; r++ {
+		b.Add(r, trace.Event{Kind: trace.KindWinLock, Win: 1, Target: 0, Lock: trace.LockShared})
+		for k := 0; k < n/2; k++ {
+			w := uint64(k*7) % 16
+			b.Add(r, loc(trace.Event{Kind: trace.KindPut, Win: 1, Target: 0,
+				OriginAddr: 0x10000 + 8*w, OriginType: trace.TypeFloat64, OriginCount: 1,
+				TargetDisp: 8 * w, TargetType: trace.TypeFloat64, TargetCount: 1}, 100*r))
+		}
+		b.Add(r, trace.Event{Kind: trace.KindWinUnlock, Win: 1, Target: 0})
+	}
+	return b.Set()
+}
+
+// Cross-process detection allocates at most linearly in the region size,
+// however many duplicate instances the region holds: four times the puts
+// may cost about four times the allocations.
+func TestCrossShadowAllocsLinear(t *testing.T) {
+	allocs := func(n int) float64 {
+		set := crossPuts(n)
+		m, d := buildPipeline(t, set)
+		epochs, opEpoch, err := ExtractEpochs(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			rep, err := NewAnalyzer(m, d, epochs, opEpoch, Options{CrossProcess: true}).Run()
+			if err != nil || len(rep.Violations) != 1 || rep.Violations[0].Count != n*n/64 {
+				t.Fatalf("n=%d: %v\n%v", n, err, rep)
+			}
+		})
+	}
+	small, large := allocs(256), allocs(1024)
+	if large > 4.25*small {
+		t.Errorf("allocs: %v for 256 puts, %v for 1024 puts (> 4.25x)", small, large)
+	}
+}

@@ -129,10 +129,8 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 		if EffectiveCompat(x.ev, y.ev) == Both {
 			return
 		}
-		sx := storedOp{ev: x.ev, target: x.fp, epoch: x.epoch}
-		sy := storedOp{ev: y.ev, target: y.fp, epoch: y.epoch}
 		a.addCross(&collector{report: a.report, vindex: a.vindex}, rg, x.epoch, y.epoch, &Violation{
-			Severity: a.rmaPairSeverity(&sx, &sy),
+			Severity: rmaPairSeverity(x.epoch, y.epoch),
 			Class:    AcrossProcesses,
 			Rule: fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window",
 				x.ev.Kind, y.ev.Kind),
@@ -148,9 +146,10 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 	}
 	inWindow := false
 	for _, iv := range y.fp.Intervals {
-		if wi, ok := a.m.WindowAt(y.fp.Rank, iv); ok && wi.ID == x.ev.Win {
-			inWindow = true
-			break
+		for _, w := range a.m.RankWindows(y.fp.Rank) {
+			if w.Info.ID == x.ev.Win && w.Buf.Overlaps(iv) {
+				inWindow = true
+			}
 		}
 	}
 	if !inWindow {
@@ -182,9 +181,8 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 		rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
 			y.cls, x.ev.Win, x.ev.Kind)
 	}
-	sx := storedOp{ev: x.ev, target: x.fp, epoch: x.epoch}
 	a.addCross(&collector{report: a.report, vindex: a.vindex}, rg, x.epoch, y.epoch, &Violation{
-		Severity: a.localPairSeverity(&sx),
+		Severity: localPairSeverity(x.epoch),
 		Class:    AcrossProcesses,
 		Rule:     rule,
 		A:        *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: overlapIv, Region: rg.Index,

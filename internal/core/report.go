@@ -273,19 +273,21 @@ type Report struct {
 	Degraded []string
 }
 
-// add records a violation, folding duplicates. The first instance of a
-// key wins, witness included — in parallel runs the merge happens in
-// scope index order, so the surviving instance (and its witness) is the
-// one the serial scan would have kept.
-func (r *Report) add(index map[string]*Violation, v *Violation) {
+// add records a violation, folding duplicates, and returns the
+// violation held for its key. The first instance of a key wins, witness
+// included — in parallel runs the merge happens in scope index order, so
+// the surviving instance (and its witness) is the one the serial scan
+// would have kept.
+func (r *Report) add(index map[string]*Violation, v *Violation) *Violation {
 	if prev, ok := index[v.key()]; ok {
 		prev.Count++
-		return
+		return prev
 	}
 	v.Count = 1
 	v.resolveWitness()
 	index[v.key()] = v
 	r.Violations = append(r.Violations, v)
+	return v
 }
 
 // addCounted folds a violation that already carries a Count (merging

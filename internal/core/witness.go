@@ -61,11 +61,12 @@ func (a *Analyzer) addIntra(col *collector, e *Epoch, v *Violation) {
 }
 
 // addCross records a cross-process violation with its witness chain
-// attached lazily. aEpoch and bEpoch are the operands' epochs, either of
-// which may be nil (local accesses belong to no epoch).
-func (a *Analyzer) addCross(col *collector, rg dag.Region, aEpoch, bEpoch *Epoch, v *Violation) {
+// attached lazily and returns the violation the collector holds for its
+// key. aEpoch and bEpoch are the operands' epochs, either of which may be
+// nil (local accesses belong to no epoch).
+func (a *Analyzer) addCross(col *collector, rg dag.Region, aEpoch, bEpoch *Epoch, v *Violation) *Violation {
 	v.witnessFn = a.witnessCross(rg, aEpoch, bEpoch, v)
-	col.add(v)
+	return col.add(v)
 }
 
 // witnessIntra builds the chain for a within-epoch violation: the epoch's

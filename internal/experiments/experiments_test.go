@@ -4,6 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/dag"
+	"repro/internal/match"
+	"repro/internal/model"
+	"repro/internal/trace"
 )
 
 func TestTable1Shape(t *testing.T) {
@@ -147,4 +151,66 @@ func TestBenchShadowAgreement(t *testing.T) {
 	if len(rep.Violations) == 0 {
 		t.Error("multi-origin region should report its planted conflict")
 	}
+}
+
+// crossOnly builds the front end of set once and returns a cross-only
+// analysis over it with the default engine.
+func crossOnly(tb testing.TB, set *trace.Set) func() *core.Report {
+	m, err := model.Build(set)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ms, err := match.Run(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	d, err := dag.Build(m, ms)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	epochs, opEpoch, err := core.ExtractEpochs(m)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() *core.Report {
+		rep, err := core.NewAnalyzer(m, d, epochs, opEpoch, core.Options{CrossProcess: true}).Run()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return rep
+	}
+}
+
+// BenchmarkCrossShadow times cross-only detection with the shadow engine,
+// front end untimed: "hot" is the perfbench hot region (one vector of
+// 4096 puts from 7 origins, permuted per epoch), "corpora" every Table II
+// buggy case with its body run 8 times.
+func BenchmarkCrossShadow(b *testing.B) {
+	b.Run("hot", func(b *testing.B) {
+		run := crossOnly(b, PermutedShadowRegion(8, 4096, 1))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(run().Violations) != 1 {
+				b.Fatal("hot region must report its planted conflict only")
+			}
+		}
+	})
+	b.Run("corpora", func(b *testing.B) {
+		sets, err := benchCorpora(8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		runs := make([]func() *core.Report, len(sets))
+		for i, set := range sets {
+			runs[i] = crossOnly(b, set)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, run := range runs {
+				run()
+			}
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math/rand"
+
 	"repro/internal/testutil"
 	"repro/internal/trace"
 )
@@ -124,4 +126,33 @@ func ShadowSyntheticRegion(ranks, ops int) *trace.Set {
 		line += 3
 	}
 	return b.Set()
+}
+
+// PermutedShadowRegion is ShadowSyntheticRegion with the puts inside
+// every epoch shuffled by a generator seeded by seed, the input of the
+// perfbench hot-region workload. Every rank's stripe then reaches the
+// store out of address order. The planted conflict, two puts in epochs
+// of their own, survives any permutation.
+func PermutedShadowRegion(ranks, ops int, seed int64) *trace.Set {
+	set := ShadowSyntheticRegion(ranks, ops)
+	rng := rand.New(rand.NewSource(seed))
+	for _, t := range set.Traces {
+		evs := t.Events
+		for lo := 0; lo < len(evs); lo++ {
+			if evs[lo].Kind != trace.KindPut {
+				continue
+			}
+			hi := lo
+			for hi < len(evs) && evs[hi].Kind == trace.KindPut {
+				hi++
+			}
+			run := evs[lo:hi]
+			rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+			lo = hi - 1
+		}
+		for i := range evs {
+			evs[i].Seq = int64(i)
+		}
+	}
+	return set
 }

@@ -7,7 +7,9 @@
 package model
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/memory"
@@ -58,6 +60,14 @@ type Model struct {
 	Comms map[int32]*CommInfo
 	Wins  map[int32]*WinInfo
 	types map[typeKey]memory.DataMap
+
+	rankWins [][]LocalWindow // per world rank, ascending window ID
+}
+
+// LocalWindow is one window's buffer at one rank.
+type LocalWindow struct {
+	Info *WinInfo
+	Buf  memory.Interval
 }
 
 type typeKey struct {
@@ -139,6 +149,15 @@ func BuildWorkersTraced(set *trace.Set, workers int, tr *tracing.Recorder) (*Mod
 				m.types[key] = ev.TypeMap
 			}
 		}
+	}
+	m.rankWins = make([][]LocalWindow, set.Ranks())
+	for _, wi := range m.Wins {
+		for r, local := range wi.Locals {
+			m.rankWins[r] = append(m.rankWins[r], LocalWindow{Info: wi, Buf: local.Interval()})
+		}
+	}
+	for _, ws := range m.rankWins {
+		slices.SortFunc(ws, func(a, b LocalWindow) int { return cmp.Compare(a.Info.ID, b.Info.ID) })
 	}
 	return m, nil
 }
@@ -301,13 +320,13 @@ func AccessFootprint(ev *trace.Event) Footprint {
 	return Footprint{Rank: ev.Rank, Intervals: []memory.Interval{memory.Iv(ev.Addr, ev.Size)}}
 }
 
-// WindowAt returns the window (if any) whose local buffer at the given
-// world rank contains the address interval.
-func (m *Model) WindowAt(rank int32, iv memory.Interval) (*WinInfo, bool) {
-	for _, wi := range m.Wins {
-		if local, ok := wi.Locals[rank]; ok && local.Interval().Overlaps(iv) {
-			return wi, true
-		}
+// RankWindows returns the windows that expose a buffer at the given
+// world rank, in ascending window ID. Windows may share bytes, so a
+// caller looking for the windows of an address visits every overlapping
+// entry.
+func (m *Model) RankWindows(rank int32) []LocalWindow {
+	if rank < 0 || int(rank) >= len(m.rankWins) {
+		return nil
 	}
-	return nil, false
+	return m.rankWins[rank]
 }

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/memory"
@@ -158,12 +159,37 @@ func TestAccessFootprintAndWindowAt(t *testing.T) {
 	if f.Rank != 1 || f.Intervals[0] != memory.Iv(0x4010, 8) {
 		t.Errorf("access footprint = %+v", f)
 	}
-	wi, ok := m.WindowAt(1, f.Intervals[0])
-	if !ok || wi.ID != 3 {
-		t.Errorf("WindowAt = %v %v", wi, ok)
+	ws := m.RankWindows(1)
+	if len(ws) != 1 || ws[0].Info.ID != 3 || !ws[0].Buf.Overlaps(f.Intervals[0]) {
+		t.Errorf("RankWindows(1) = %+v", ws)
 	}
-	if _, ok := m.WindowAt(1, memory.Iv(0x9000, 4)); ok {
+	if ws[0].Buf.Overlaps(memory.Iv(0x9000, 4)) {
 		t.Error("address outside windows matched")
+	}
+	if ws := m.RankWindows(7); ws != nil {
+		t.Errorf("RankWindows(7) = %+v, want none", ws)
+	}
+}
+
+// Windows exposing the same buffer are all listed, in ascending ID,
+// whatever order they were created in.
+func TestRankWindowsSharedBuffer(t *testing.T) {
+	b := testutil.NewTraceBuilder(2)
+	for _, id := range []int32{9, 2, 5} {
+		b.WinCreate(id, 0x4000, 64)
+	}
+	m, err := Build(b.Set())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := int32(0); r < 2; r++ {
+		var ids []int32
+		for _, w := range m.RankWindows(r) {
+			ids = append(ids, w.Info.ID)
+		}
+		if !slices.Equal(ids, []int32{2, 5, 9}) {
+			t.Errorf("rank %d windows = %v, want [2 5 9]", r, ids)
+		}
 	}
 }
 

@@ -11,6 +11,13 @@
 //     any overlap between a query and a cell implies overlap with every
 //     member in it — overlap filtering costs one sorted-slice walk
 //     instead of a full vector scan;
+//   - the cover is deferred: Insert only queues a member's intervals on
+//     its vector, and the queue is merged into the cells with one sweep
+//     when a query could see a queued member (some queued group
+//     classifies ModeOverlap). The detector inserts rank-major and
+//     same-rank groups classify ModeSkip, so a vector is merged about
+//     once per origin rank instead of shifting its sorted cell slice on
+//     every insert;
 //   - within a cell, members are grouped per (origin rank, operation
 //     class). A group either matches or is skipped wholesale (same-rank
 //     pairs, compatibility-matrix BOTH cells), the analogue of
@@ -23,17 +30,21 @@
 //     non-decreasing, so the members of a group that are concurrent with
 //     a query form one contiguous range found by two binary searches —
 //     no per-member happens-before calls;
-//   - sites are interned in a Depot (see depot.go) so a member stays a
-//     few words and per-site work is done once.
+//   - a member is a few words (payload, seq, clock reference). Sites are
+//     the caller's business: the detector interns them in a Depot (see
+//     depot.go) only for accesses that actually match.
 //
 // The store knows nothing about MPI semantics: the caller classifies
 // groups (skip / overlap-filtered / unconditional) and receives matches
 // as opaque payloads, in exactly the insertion order a pairwise scan of
 // the vector would have visited them — which is what lets the driving
-// detector reproduce the pairwise engine's reports byte for byte.
+// detector reproduce the pairwise engine's reports byte for byte. One
+// store serves a sequence of regions: Reset empties it and keeps its
+// memory.
 package shadow
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/memory"
@@ -57,9 +68,6 @@ type Access struct {
 	// decisions the caller makes in a Query classify callback must be a
 	// pure function of (Rank, Class) plus the query itself.
 	Class int32
-	// Site is the access's interned site (informational; kept on the
-	// member so callers can render operands without re-interning).
-	Site SiteID
 	// Seq is the event sequence number within the origin rank.
 	Seq int64
 	// Clock is the vector clock of the access's DAG segment, read-only.
@@ -68,7 +76,8 @@ type Access struct {
 	Clock []int64
 	// Target is the access's byte footprint: ascending, disjoint
 	// intervals. May be empty; the member is then reachable only through
-	// ModeAll group matches, never through overlap filtering.
+	// ModeAll group matches, never through overlap filtering. Read
+	// during the Insert call only.
 	Target []memory.Interval
 }
 
@@ -96,10 +105,8 @@ const (
 
 type member struct {
 	payload int32
-	site    SiteID
 	seq     int64
 	clock   []int64
-	target  []memory.Interval
 	stamp   uint64
 }
 
@@ -112,6 +119,8 @@ type group struct {
 	// Query call, however many cells the group appears in.
 	qstamp uint64
 	qmode  Mode
+
+	queued bool // listed in its vector's pendGroups
 }
 
 // cellGroup is one group's slice of a cell. The single-member case is
@@ -147,32 +156,19 @@ func (cg *cellGroup) add(id int32) {
 }
 
 // cell is one byte interval [lo, hi) of a vector with the members whose
-// footprints cover it, partitioned by group.
+// footprints cover it, partitioned by group. Each entries backing array
+// belongs to exactly one live cell.
 type cell struct {
 	lo, hi  uint64
 	entries []cellGroup
 }
 
-func (c *cell) add(g *group, id int32) {
-	for i := range c.entries {
-		if c.entries[i].g == g {
-			c.entries[i].add(id)
-			return
-		}
-	}
-	c.entries = append(c.entries, cellGroup{g: g, solo: id})
-}
-
-// cloneEntries deep-copies a cell's group slices for a split: the index
-// lists share backing arrays capped at their current length, so a later
-// append to either half reallocates instead of clobbering the other.
-func cloneEntries(es []cellGroup) []cellGroup {
-	out := make([]cellGroup, len(es))
-	for i, e := range es {
-		e.idxs = e.idxs[:len(e.idxs):len(e.idxs)]
-		out[i] = e
-	}
-	return out
+// pendingCover is one queued interval of an inserted member, waiting to
+// be merged into its vector's cells.
+type pendingCover struct {
+	lo, hi uint64
+	g      *group
+	id     int32
 }
 
 type groupKey struct {
@@ -181,85 +177,50 @@ type groupKey struct {
 }
 
 type vector struct {
-	cells  []cell // sorted by lo, pairwise disjoint
+	cells  []cell // sorted by lo, pairwise disjoint; excludes pending
 	groups []*group
 	gindex map[groupKey]*group
+
+	pending    []pendingCover // inserted since the last merge, ascending id
+	pendGroups []*group       // distinct groups of pending
 }
 
-func (v *vector) group(rank, class int32) *group {
-	k := groupKey{rank: rank, class: class}
-	if g, ok := v.gindex[k]; ok {
-		return g
+// slab hands out elements from chunks that never move, so pointers and
+// subslices into it stay valid until reset, and a reset store reuses its
+// largest chunk.
+type slab[T any] struct{ chunk []T }
+
+func (s *slab[T]) take(n int) []T {
+	if len(s.chunk)+n > cap(s.chunk) {
+		s.chunk = make([]T, 0, max(2*cap(s.chunk), n, 64))
 	}
-	g := &group{rank: rank, class: class}
-	v.gindex[k] = g
-	v.groups = append(v.groups, g)
-	return g
+	i := len(s.chunk)
+	s.chunk = s.chunk[:i+n]
+	out := s.chunk[i : i+n : i+n]
+	clear(out)
+	return out
 }
 
-func (v *vector) insertCell(i int, c cell) {
-	v.cells = append(v.cells, cell{})
-	copy(v.cells[i+1:], v.cells[i:])
-	v.cells[i] = c
-}
-
-// cover registers member id of group g over interval iv: boundary cells
-// are split so the covered cells tile iv exactly, gaps get fresh cells,
-// and the member is appended to every covered cell.
-func (v *vector) cover(iv memory.Interval, g *group, id int32) {
-	lo := iv.Lo
-	if lo >= iv.Hi {
-		return
-	}
-	i := sort.Search(len(v.cells), func(i int) bool { return v.cells[i].hi > lo })
-	for lo < iv.Hi {
-		if i == len(v.cells) || v.cells[i].lo >= iv.Hi {
-			// No existing cell before iv.Hi: one fresh cell for the rest.
-			v.insertCell(i, cell{lo: lo, hi: iv.Hi, entries: []cellGroup{{g: g, solo: id}}})
-			return
-		}
-		c := &v.cells[i]
-		if c.lo > lo {
-			// Gap before the next cell.
-			v.insertCell(i, cell{lo: lo, hi: c.lo, entries: []cellGroup{{g: g, solo: id}}})
-			i++
-			lo = v.cells[i].lo
-			continue
-		}
-		if c.lo < lo {
-			// Split off the uncovered left part [c.lo, lo).
-			left := cell{lo: c.lo, hi: lo, entries: c.entries}
-			right := cell{lo: lo, hi: c.hi, entries: cloneEntries(c.entries)}
-			v.cells[i] = left
-			v.insertCell(i+1, right)
-			i++
-			continue
-		}
-		// c.lo == lo.
-		if c.hi > iv.Hi {
-			// Split off the uncovered right part [iv.Hi, c.hi).
-			left := cell{lo: c.lo, hi: iv.Hi, entries: cloneEntries(c.entries)}
-			right := cell{lo: iv.Hi, hi: c.hi, entries: c.entries}
-			v.cells[i] = left
-			v.insertCell(i+1, right)
-			c = &v.cells[i]
-		}
-		// Cell is now a subset of iv.
-		c.add(g, id)
-		lo = c.hi
-		i++
-	}
-}
+func (s *slab[T]) reset() { s.chunk = s.chunk[:0] }
 
 // Store is the shadow map of one concurrent region: every vector's cell
 // partition plus a shared member arena. Not safe for concurrent use;
-// the detector builds one store per region scope.
+// the detector keeps one store per worker and resets it per region.
 type Store struct {
 	depot   *Depot
 	vectors map[VectorKey]*vector
+	free    []*vector // vectors emptied by Reset
 	arena   []member
-	scratch []int32
 	qstamp  uint64
+
+	groups  slab[group]
+	entries slab[cellGroup]
+
+	// Scratch reused across queries and merges.
+	matches []int32
+	starts  []uint64
+	ends    []uint64
+	mid     []cell
 }
 
 // NewStore returns an empty store. depot may be nil when the caller does
@@ -271,15 +232,36 @@ func NewStore(depot *Depot) *Store {
 // Depot returns the depot the store was built with (may be nil).
 func (s *Store) Depot() *Depot { return s.depot }
 
+// Reset empties the store for the next region, keeping its memory, and
+// reserves room for n accesses. The depot is kept as it is.
+func (s *Store) Reset(n int) {
+	for _, v := range s.vectors {
+		clear(v.cells)
+		v.cells = v.cells[:0]
+		v.groups = v.groups[:0]
+		clear(v.gindex)
+		v.pending = v.pending[:0]
+		v.pendGroups = v.pendGroups[:0]
+		s.free = append(s.free, v)
+	}
+	clear(s.vectors)
+	s.arena = slices.Grow(s.arena[:0], n)
+	s.groups.reset()
+	s.entries.reset()
+}
+
 // Members returns the total number of inserted accesses.
 func (s *Store) Members() int { return len(s.arena) }
 
-// Cells returns the number of shadow cells of one vector.
+// Cells returns the number of shadow cells of one vector, after merging
+// any queued inserts.
 func (s *Store) Cells(key VectorKey) int {
-	if v := s.vectors[key]; v != nil {
-		return len(v.cells)
+	v := s.vectors[key]
+	if v == nil {
+		return 0
 	}
-	return 0
+	s.merge(v)
+	return len(v.cells)
 }
 
 // Groups returns the number of (rank, class) groups of one vector.
@@ -290,25 +272,168 @@ func (s *Store) Groups(key VectorKey) int {
 	return 0
 }
 
-// Insert adds an access to a vector, splitting shadow cells as needed.
-// Accesses must be inserted in the global order the pairwise detector
-// would have scanned them (rank-major, ascending seq within a rank):
-// Query reproduces exactly that order on match.
+// Insert adds an access to a vector. Its intervals are queued and join
+// the vector's cells at the next merge. Accesses must be inserted in the
+// global order the pairwise detector would have scanned them
+// (rank-major, ascending seq within a rank): Query reproduces exactly
+// that order on match.
 func (s *Store) Insert(key VectorKey, a Access) {
 	v := s.vectors[key]
 	if v == nil {
-		v = &vector{gindex: make(map[groupKey]*group)}
+		if n := len(s.free); n > 0 {
+			v = s.free[n-1]
+			s.free = s.free[:n-1]
+		} else {
+			v = &vector{gindex: make(map[groupKey]*group)}
+		}
 		s.vectors[key] = v
 	}
-	g := v.group(a.Rank, a.Class)
+	gk := groupKey{rank: a.Rank, class: a.Class}
+	g := v.gindex[gk]
+	if g == nil {
+		g = &s.groups.take(1)[0]
+		g.rank, g.class = a.Rank, a.Class
+		v.gindex[gk] = g
+		v.groups = append(v.groups, g)
+	}
 	id := int32(len(s.arena))
-	s.arena = append(s.arena, member{
-		payload: a.Payload, site: a.Site, seq: a.Seq, clock: a.Clock, target: a.Target,
-	})
+	s.arena = append(s.arena, member{payload: a.Payload, seq: a.Seq, clock: a.Clock})
 	g.all = append(g.all, id)
 	for _, iv := range a.Target {
-		v.cover(iv, g, id)
+		if iv.Lo >= iv.Hi {
+			continue
+		}
+		v.pending = append(v.pending, pendingCover{lo: iv.Lo, hi: iv.Hi, g: g, id: id})
+		if !g.queued {
+			g.queued = true
+			v.pendGroups = append(v.pendGroups, g)
+		}
 	}
+}
+
+// merge folds a vector's queued intervals into its cells. The result is
+// the partition a per-insert cover would have built: the covered bytes
+// cut at every inserted endpoint. Only the old cells between the lowest
+// and highest queued endpoint are rebuilt, by one sweep into scratch;
+// the cells after them shift once per merge, not once per insert.
+func (s *Store) merge(v *vector) {
+	pend := v.pending
+	if len(pend) == 0 {
+		return
+	}
+	starts, ends := s.starts[:0], s.ends[:0]
+	for _, p := range pend {
+		starts = append(starts, p.lo)
+		ends = append(ends, p.hi)
+	}
+	slices.Sort(starts)
+	slices.Sort(ends)
+
+	cells := v.cells
+	n := len(cells)
+	i0 := sort.Search(n, func(i int) bool { return cells[i].hi > starts[0] })
+	i1 := sort.Search(n, func(i int) bool { return cells[i].lo >= ends[len(ends)-1] })
+	mid := s.sweep(cells[i0:i1], starts, ends)
+	// Queued members join their pieces in ascending arena id, after the
+	// old members, so each cellGroup's list stays in ascending seq for
+	// concurrentRangeCell.
+	for _, p := range pend {
+		j := sort.Search(len(mid), func(j int) bool { return mid[j].lo >= p.lo })
+		for ; j < len(mid) && mid[j].lo < p.hi; j++ {
+			mid[j].entries = s.addEntry(mid[j].entries, p.g, p.id)
+		}
+	}
+	grow := len(mid) - (i1 - i0) // a rebuilt cell yields at least one piece
+	cells = slices.Grow(cells, grow)[:n+grow]
+	copy(cells[i1+grow:], cells[i1:n])
+	copy(cells[i0:], mid)
+	v.cells = cells
+
+	for _, g := range v.pendGroups {
+		g.queued = false
+	}
+	v.pendGroups = v.pendGroups[:0]
+	v.pending = pend[:0]
+	clear(mid)
+	s.mid, s.starts, s.ends = mid[:0], starts[:0], ends[:0]
+}
+
+// sweep cuts old (sorted, disjoint cells) at every queued endpoint
+// (starts and ends, each sorted) and returns, in address order, every
+// piece that an old cell or a queued interval covers. A piece of an old
+// cell starts with the old cell's members.
+func (s *Store) sweep(old []cell, starts, ends []uint64) []cell {
+	out := s.mid[:0]
+	x := starts[0]
+	if len(old) > 0 && old[0].lo < x {
+		x = old[0].lo
+	}
+	oi, si, ei := 0, 0, 0
+	for {
+		for si < len(starts) && starts[si] <= x {
+			si++
+		}
+		for ei < len(ends) && ends[ei] <= x {
+			ei++
+		}
+		// The piece from x ends at the next old cell bound or endpoint.
+		inOld := oi < len(old) && old[oi].lo <= x
+		y := ^uint64(0)
+		switch {
+		case inOld:
+			y = old[oi].hi
+		case oi < len(old):
+			y = old[oi].lo
+		}
+		if si < len(starts) {
+			y = min(y, starts[si])
+		}
+		if ei < len(ends) {
+			y = min(y, ends[ei])
+		} else if !inOld && oi == len(old) {
+			return out
+		}
+		switch {
+		case inOld && y == old[oi].hi:
+			out = append(out, cell{lo: x, hi: y, entries: old[oi].entries}) // the last piece keeps the original
+			oi++
+		case inOld:
+			out = append(out, cell{lo: x, hi: y, entries: s.cloneEntries(old[oi].entries)})
+		case si > ei: // some queued interval covers x
+			out = append(out, cell{lo: x, hi: y})
+		}
+		x = y
+	}
+}
+
+// addEntry appends member id of group g to a cell's entries; a cell's
+// first group comes from the entries slab, so a fresh cell allocates
+// nothing.
+func (s *Store) addEntry(es []cellGroup, g *group, id int32) []cellGroup {
+	for i := range es {
+		if es[i].g == g {
+			es[i].add(id)
+			return es
+		}
+	}
+	if len(es) == 0 {
+		es = s.entries.take(1)
+		es[0] = cellGroup{g: g, solo: id}
+		return es
+	}
+	return append(es, cellGroup{g: g, solo: id})
+}
+
+// cloneEntries copies a cell's group slices for a split: the index lists
+// share backing arrays capped at their current length, so a later append
+// to either half reallocates instead of clobbering the other.
+func (s *Store) cloneEntries(es []cellGroup) []cellGroup {
+	out := s.entries.take(len(es))
+	for i, e := range es {
+		e.idxs = e.idxs[:len(e.idxs):len(e.idxs)]
+		out[i] = e
+	}
+	return out
 }
 
 // concurrentRange returns the half-open index range of list whose
@@ -337,8 +462,9 @@ func (s *Store) concurrentRange(list []int32, rank int32, q Query) (int, int) {
 // most once per (rank, class) group and decides how the group matches;
 // emit receives each matching member's payload exactly once per Query
 // call, even when its footprint spans several probed cells (per-member
-// stamps dedup the cell walk). fp may differ from the probing event's
-// own footprint slice passed at insert time; it is only read.
+// stamps dedup the cell walk). Queued inserts are merged first when any
+// of their groups classifies ModeOverlap. fp may differ from the probing
+// event's own footprint slice passed at insert time; it is only read.
 func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 	classify func(rank, class int32) Mode, emit func(payload int32)) {
 	v := s.vectors[key]
@@ -346,7 +472,7 @@ func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 		return
 	}
 	s.qstamp++
-	s.scratch = s.scratch[:0]
+	s.matches = s.matches[:0]
 
 	mode := func(g *group) Mode {
 		if g.qstamp != s.qstamp {
@@ -361,7 +487,14 @@ func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 			return
 		}
 		m.stamp = s.qstamp
-		s.scratch = append(s.scratch, id)
+		s.matches = append(s.matches, id)
+	}
+
+	for _, g := range v.pendGroups {
+		if mode(g) == ModeOverlap {
+			s.merge(v)
+			break
+		}
 	}
 
 	// Unconditional groups: the whole concurrent range of the vector-wide
@@ -401,8 +534,8 @@ func (s *Store) Query(key VectorKey, q Query, fp []memory.Interval,
 
 	// Arena indexes increase in insertion order, so sorting the matches
 	// restores exactly the order a pairwise vector scan reports pairs in.
-	sort.Slice(s.scratch, func(i, j int) bool { return s.scratch[i] < s.scratch[j] })
-	for _, id := range s.scratch {
+	slices.Sort(s.matches)
+	for _, id := range s.matches {
 		emit(s.arena[id].payload)
 	}
 }
@@ -417,11 +550,5 @@ func (s *Store) concurrentRangeCell(cg *cellGroup, q Query) (int, int) {
 		}
 		return 0, 0
 	}
-	known := q.Clock[cg.g.rank]
-	lo := sort.Search(len(cg.idxs), func(i int) bool { return s.arena[cg.idxs[i]].seq > known })
-	hi := sort.Search(len(cg.idxs), func(i int) bool { return s.arena[cg.idxs[i]].clock[q.Rank] >= q.Seq })
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
+	return s.concurrentRange(cg.idxs, cg.g.rank, q)
 }

@@ -1,7 +1,9 @@
 package shadow
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -253,6 +255,7 @@ func TestCoverInvariants(t *testing.T) {
 		st.Insert(key, Access{Payload: int32(i), Rank: int32(i % 3), Class: 0,
 			Seq: int64(i), Clock: clock(-1, -1, -1), Target: fp})
 	}
+	st.Cells(key) // merges the queued inserts into v.cells
 	v := st.vectors[key]
 	for i := range v.cells {
 		if v.cells[i].lo >= v.cells[i].hi {
@@ -331,5 +334,129 @@ func TestClassifyOncePerGroup(t *testing.T) {
 		func(int32) {})
 	if calls != 2 {
 		t.Fatalf("classify called %d times across two queries, want 2", calls)
+	}
+}
+
+// A randomized store against a brute-force list of every inserted
+// access. Inserts from several ranks interleave with same-rank and
+// cross-rank queries, so queued members must become visible exactly when
+// a query could match them, and matches must come back once each, in
+// insertion order. Reset starts a fresh region midway.
+func TestStoreMatchesBruteForceList(t *testing.T) {
+	type access struct {
+		payload, rank, class int32
+		seq                  int64
+		clock                []int64
+		target               []memory.Interval
+	}
+	const ranks = 4
+	rng := rand.New(rand.NewSource(1))
+	randFootprint := func() []memory.Interval {
+		var fp []memory.Interval
+		lo := uint64(rng.Intn(16))
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			hi := lo + 1 + uint64(rng.Intn(24))
+			fp = append(fp, memory.Interval{Lo: lo, Hi: hi})
+			lo = hi + uint64(rng.Intn(12))
+		}
+		if rng.Intn(10) == 0 {
+			fp = append(fp, memory.Interval{Lo: lo, Hi: lo}) // empty: never covers a cell
+		}
+		return fp
+	}
+	overlaps := func(a, b []memory.Interval) bool {
+		for _, x := range a {
+			for _, y := range b {
+				if x.Overlaps(y) {
+					return true
+				}
+			}
+		}
+		return false
+	}
+
+	st := NewStore(nil)
+	for round := 0; round < 6; round++ {
+		st.Reset(rng.Intn(64))
+		var list []access
+		seq := make([]int64, ranks)
+		clocks := make([][]int64, ranks) // per-rank knowledge, monotone
+		for r := range clocks {
+			clocks[r] = []int64{-1, -1, -1, -1}
+		}
+		for step := 0; step < 400; step++ {
+			key := VectorKey{Win: int32(rng.Intn(2)), Target: 0}
+			r := int32(rng.Intn(ranks))
+			if rng.Intn(3) > 0 {
+				// Insert from rank r; its knowledge of others only grows.
+				for o := range clocks[r] {
+					if int32(o) != r && rng.Intn(4) == 0 {
+						clocks[r][o] += int64(rng.Intn(5))
+					}
+				}
+				seq[r]++
+				a := access{payload: int32(len(list)), rank: r, class: int32(rng.Intn(3)),
+					seq: seq[r], clock: slices.Clone(clocks[r]), target: randFootprint()}
+				if key.Win == 1 {
+					a.payload = -a.payload - 1 // tells the vectors apart
+				}
+				list = append(list, a)
+				st.Insert(key, Access{Payload: a.payload, Rank: a.rank, Class: a.class,
+					Seq: a.seq, Clock: a.clock, Target: a.target})
+				continue
+			}
+			// Query from rank r: a fresh verdict per (rank, class) group,
+			// with r's own groups skipped as the detector does.
+			q := Query{Rank: r, Seq: seq[r] + int64(rng.Intn(3)), Clock: make([]int64, ranks)}
+			for o := range q.Clock {
+				q.Clock[o] = int64(rng.Intn(int(seq[o])+2)) - 1
+			}
+			modes := map[groupKey]Mode{}
+			mode := func(rank, class int32) Mode {
+				k := groupKey{rank, class}
+				if m, ok := modes[k]; ok {
+					return m
+				}
+				m := Mode(rng.Intn(3))
+				if rank == r {
+					m = ModeSkip
+				}
+				modes[k] = m
+				return m
+			}
+			fp := randFootprint()
+			var got []int32
+			st.Query(key, q, fp, mode, func(p int32) { got = append(got, p) })
+			var want []int32
+			for _, a := range list {
+				if (a.payload < 0) != (key.Win == 1) {
+					continue
+				}
+				concurrent := q.Clock[a.rank] < a.seq && a.clock[q.Rank] < q.Seq
+				if !concurrent {
+					continue
+				}
+				switch mode(a.rank, a.class) {
+				case ModeAll:
+					want = append(want, a.payload)
+				case ModeOverlap:
+					if overlaps(a.target, fp) {
+						want = append(want, a.payload)
+					}
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("round %d step %d: query %+v over %v\ngot  %v\nwant %v", round, step, q, fp, got, want)
+			}
+		}
+		for _, key := range []VectorKey{{0, 0}, {1, 0}} {
+			st.Cells(key)
+			cells := st.vectors[key].cells
+			for i := 1; i < len(cells); i++ {
+				if cells[i-1].hi > cells[i].lo || cells[i].lo >= cells[i].hi {
+					t.Fatalf("round %d: cells %d,%d not sorted and disjoint", round, i-1, i)
+				}
+			}
+		}
 	}
 }
