@@ -74,8 +74,8 @@ cover:
 	$(GO) test -cover ./internal/...
 
 # Benchmark-regression harness: measures the pipeline's hot paths
-# (pooled decode, cached signatures, worker-parallel analysis, linear vs
-# quadratic detection) and writes the baseline to BENCH.json.
+# (cached signatures, worker-parallel analysis, linear vs quadratic
+# detection) and writes the baseline to BENCH.json.
 bench:
 	$(GO) run ./cmd/mcbench -exp bench -json BENCH.json
 
@@ -119,14 +119,21 @@ microbench:
 
 fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzReadTrace$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzReadTraceSalvage$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzDecodeDifferential$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run NONE -fuzz '^FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
 
 # CI-sized fuzz of the trace codec: every-field event runs must round-trip
-# encode/decode unchanged, and corrupt streams must decode to an error or
-# a valid trace, never a panic.
+# encode/decode unchanged, corrupt streams must decode to an error or a
+# valid trace (strictly) or a valid prefix (salvage), never a panic, and
+# the window decoder must match the bufio reference decoder's events,
+# errors and salvage results. Minimizing each new input is capped at 1s
+# so the differential run spends its time fuzzing.
 fuzz-codec:
 	$(GO) test -run NONE -fuzz '^FuzzRoundTrip$$' -fuzztime 20s ./internal/trace
 	$(GO) test -run NONE -fuzz '^FuzzReadTrace$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzReadTraceSalvage$$' -fuzztime 20s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzDecodeDifferential$$' -fuzztime 20s -fuzzminimizetime 1s ./internal/trace
 
 # Fuzz the seeded RMA program generator: any seed must yield a program
 # that simulates without deadlock and round-trips the trace codec.

@@ -6,6 +6,7 @@ package mcchecker
 // corresponding tables with percentages.
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -471,6 +472,28 @@ func BenchmarkEncodeTrace(b *testing.B) {
 		b.SetBytes(int64(len(enc)))
 	}
 	b.ReportMetric(float64(len(tr.Events)), "events/op")
+}
+
+// BenchmarkDecodeTrace measures the codec's decode side on the same
+// trace, one rank stream per op.
+func BenchmarkDecodeTrace(b *testing.B) {
+	wl := apps.Workloads()[0]
+	sink := trace.NewMemorySink()
+	if err := mpi.Run(8, mpi.Options{Hook: profiler.New(sink, nil)}, wl.Body(0.5)); err != nil {
+		b.Fatal(err)
+	}
+	enc, err := trace.EncodeTrace(sink.Set().Traces[0])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(enc)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := trace.ReadTrace(bytes.NewReader(enc)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- Analysis pipeline stages (profiling the offline side) ---------------

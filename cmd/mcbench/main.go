@@ -18,6 +18,7 @@
 //
 // Global flags: -cpuprofile FILE and -memprofile FILE write pprof
 // profiles of the whole invocation.
+//
 //	mcbench -exp all
 //
 // Absolute times are machine-local; the reproduction targets are the
@@ -328,8 +329,6 @@ func bench(jsonPath, benchTime string, amplify int, tracePath string) error {
 	line := func(name string, s experiments.BenchStat) {
 		fmt.Fprintf(w, "%s\t%.0f\t%d\t%d\t%.0f\n", name, s.NsPerOp, s.BytesPerOp, s.AllocsPerOp, s.EventsPerSec)
 	}
-	line("decode (pooled)", res.Decode.Pooled)
-	line("decode (pool off)", res.Decode.Unpooled)
 	line("signature", res.Signature)
 	line("analyze (workers=1)", res.Analyze.Workers1)
 	line(fmt.Sprintf("analyze (workers=%d)", res.Analyze.MaxWorkers), res.Analyze.WorkersMax)
@@ -338,8 +337,8 @@ func bench(jsonPath, benchTime string, amplify int, tracePath string) error {
 	line("cross-process shadow", res.Shadow.Shadow)
 	line("cross-process pairwise", res.Shadow.Pairwise)
 	w.Flush()
-	fmt.Printf("decode alloc reduction: %.1f%% (ns/op %+.1f%%)  analyze speedup: %.2fx (GOMAXPROCS=%d, cpus=%d)  linear vs quadratic: %.1fx\n",
-		res.Decode.AllocReductionPct, res.Decode.NsPerOpDeltaPct, res.Analyze.Speedup, res.GOMAXPROCS, res.NumCPU, res.Cross.Speedup)
+	fmt.Printf("analyze speedup: %.2fx (GOMAXPROCS=%d, cpus=%d)  linear vs quadratic: %.1fx\n",
+		res.Analyze.Speedup, res.GOMAXPROCS, res.NumCPU, res.Cross.Speedup)
 	fmt.Printf("shadow vs pairwise: %.1fx on %d ops across %d ranks (agreement=%v)\n",
 		res.Shadow.Speedup, res.Shadow.Ops, res.Shadow.Ranks, res.Shadow.Agreement)
 	if err := mergeBenchJSON(jsonPath, res, "serve", "corpus"); err != nil {
@@ -412,7 +411,7 @@ func serveLoad(jsonPath string, clients, jobs, queue int, faultFrac float64) err
 		return fmt.Errorf("daemon failed to drain")
 	}
 	if err := mergeBenchJSON(jsonPath, map[string]any{"serve": res},
-		"corpus", "gomaxprocs", "num_cpu", "amplify", "benchtime", "decode", "signature", "analyze", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
+		"corpus", "gomaxprocs", "num_cpu", "amplify", "benchtime", "signature", "analyze", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
 		return err
 	}
 	fmt.Printf("wrote serve section to %s\n", jsonPath)
@@ -435,7 +434,7 @@ func corpusScore(jsonPath string, programs, clean int, seed uint64) error {
 			res.AppsCaught, res.AppsFixedClean, res.GeneratedCaught, res.CleanOK)
 	}
 	if err := mergeBenchJSON(jsonPath, map[string]any{"corpus": res},
-		"serve", "gomaxprocs", "num_cpu", "amplify", "benchtime", "decode", "signature", "analyze", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
+		"serve", "gomaxprocs", "num_cpu", "amplify", "benchtime", "signature", "analyze", "phases", "cross_process", "shadow_vs_pairwise"); err != nil {
 		return err
 	}
 	fmt.Printf("wrote corpus section to %s\n", jsonPath)

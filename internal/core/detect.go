@@ -123,7 +123,7 @@ type Analyzer struct {
 	m       *model.Model
 	d       *dag.DAG
 	epochs  []*Epoch
-	opEpoch map[trace.ID]*Epoch
+	opEpoch OpEpochs
 	opts    Options
 
 	report *Report
@@ -131,7 +131,7 @@ type Analyzer struct {
 }
 
 // NewAnalyzer assembles an analyzer from the pipeline pieces.
-func NewAnalyzer(m *model.Model, d *dag.DAG, epochs []*Epoch, opEpoch map[trace.ID]*Epoch, opts Options) *Analyzer {
+func NewAnalyzer(m *model.Model, d *dag.DAG, epochs []*Epoch, opEpoch OpEpochs, opts Options) *Analyzer {
 	return &Analyzer{
 		m: m, d: d, epochs: epochs, opEpoch: opEpoch, opts: opts,
 		report: &Report{}, vindex: map[string]*Violation{},
@@ -370,7 +370,7 @@ func (a *Analyzer) checkRegion(rg dag.Region, col *collector) error {
 				return err
 			}
 			key := winTarget{win: ev.Win, tw: target.Rank}
-			cur := storedOp{ev: ev, target: target, epoch: a.opEpoch[ev.ID()]}
+			cur := storedOp{ev: ev, target: target, epoch: a.opEpoch.Of(ev.ID())}
 			for i := range vectors[key] {
 				prev := &vectors[key][i]
 				if prev.ev.Rank == ev.Rank {
@@ -526,7 +526,7 @@ func (a *Analyzer) checkLocalAgainstVectors(rg dag.Region, vectors map[winTarget
 					rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
 						cls, wi.ID, op.ev.Kind)
 				}
-				a.addCross(col, rg, op.epoch, a.opEpoch[ev.ID()], &Violation{
+				a.addCross(col, rg, op.epoch, a.opEpoch.Of(ev.ID()), &Violation{
 					Severity: localPairSeverity(op.epoch),
 					Class:    AcrossProcesses,
 					Rule:     rule,

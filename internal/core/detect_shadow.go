@@ -288,7 +288,7 @@ func (sr *shadowRegion) matchRMA(rg dag.Region) error {
 					}
 					prev := &sr.ops[p]
 					iv, _ := target.Overlaps(prev.target)
-					prevEpoch, curEpoch := a.opEpoch[prev.ev.ID()], a.opEpoch[id]
+					prevEpoch, curEpoch := a.opEpoch.Of(prev.ev.ID()), a.opEpoch.Of(id)
 					sr.first(k, rg, prevEpoch, curEpoch, &Violation{
 						Severity: rmaPairSeverity(prevEpoch, curEpoch),
 						Class:    AcrossProcesses,
@@ -359,8 +359,8 @@ func (sr *shadowRegion) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 					if sr.repeat(k) {
 						return
 					}
-					opEpoch := a.opEpoch[op.ev.ID()]
-					sr.first(k, rg, opEpoch, a.opEpoch[id], &Violation{
+					opEpoch := a.opEpoch.Of(op.ev.ID())
+					sr.first(k, rg, opEpoch, a.opEpoch.Of(id), &Violation{
 						Severity: localPairSeverity(opEpoch),
 						Class:    AcrossProcesses,
 						Rule:     sr.localRule(cls, op.ev.Kind, win, noOverlap),

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/model"
@@ -55,12 +57,42 @@ func (e *Epoch) String() string {
 		e.Rank, e.Win, e.Kind, e.Start, e.End, len(e.Ops))
 }
 
+// OpEpochs maps each RMA operation to the epoch that issued it. Per rank
+// it keeps the operations' seqs in scan order, which is ascending, next
+// to their epochs, and Of finds an operation by binary search. Its size
+// follows the RMA operations, not the events, and building it hashes
+// nothing.
+type OpEpochs struct {
+	ranks []rankOpEpochs
+}
+
+// rankOpEpochs is one rank's RMA operations: seqs[i] was issued in
+// epochs[i].
+type rankOpEpochs struct {
+	seqs   []int64
+	epochs []*Epoch
+}
+
+// Of returns the epoch that issued RMA operation id, or nil when id is not
+// an RMA operation of the extracted trace.
+func (o OpEpochs) Of(id trace.ID) *Epoch {
+	if id.Rank < 0 || int(id.Rank) >= len(o.ranks) {
+		return nil
+	}
+	r := &o.ranks[id.Rank]
+	if i, ok := slices.BinarySearch(r.seqs, id.Seq); ok {
+		return r.epochs[i]
+	}
+	return nil
+}
+
 // ExtractEpochs walks every rank's trace and groups RMA operations into
 // epochs by matching the synchronization calls (paper §III-C: "MC-Checker
 // first scans all the vertices belonging to a process and identifies all
 // the epochs within the process by matching the synchronization calls").
-// It returns the epochs and a map from each RMA operation to its epoch.
-func ExtractEpochs(m *model.Model) ([]*Epoch, map[trace.ID]*Epoch, error) {
+// It returns the epochs and the index from each RMA operation to its
+// epoch.
+func ExtractEpochs(m *model.Model) ([]*Epoch, OpEpochs, error) {
 	return ExtractEpochsWorkers(m, 1)
 }
 
@@ -69,60 +101,50 @@ func ExtractEpochs(m *model.Model) ([]*Epoch, map[trace.ID]*Epoch, error) {
 // rank's epochs and op→epoch assignments are computed independently and
 // concatenated in rank order — the exact sequence the serial walk
 // produces, keeping every downstream consumer byte-identical.
-func ExtractEpochsWorkers(m *model.Model, workers int) ([]*Epoch, map[trace.ID]*Epoch, error) {
+func ExtractEpochsWorkers(m *model.Model, workers int) ([]*Epoch, OpEpochs, error) {
 	return ExtractEpochsWorkersTraced(m, workers, nil)
 }
 
 // ExtractEpochsWorkersTraced is ExtractEpochsWorkers with each rank's
 // sync-matching scan recorded as a span on tr (track "epochs"). tr may
 // be nil.
-func ExtractEpochsWorkersTraced(m *model.Model, workers int, tr *tracing.Recorder) ([]*Epoch, map[trace.ID]*Epoch, error) {
+func ExtractEpochsWorkersTraced(m *model.Model, workers int, tr *tracing.Recorder) ([]*Epoch, OpEpochs, error) {
 	n := len(m.Set.Traces)
-	type rankResult struct {
-		epochs  []*Epoch
-		opEpoch map[trace.ID]*Epoch
-	}
-	per := make([]rankResult, n)
+	perEpochs := make([][]*Epoch, n)
+	ops := OpEpochs{ranks: make([]rankOpEpochs, n)}
 	scope := func(r int) string { return fmt.Sprintf("rank %d", r) }
 	err := par.RanksTraced(n, workers, tr, "epochs", scope, func(r int, sp *tracing.Span) error {
-		epochs, opEpoch, err := extractRankEpochs(m, m.Set.Traces[r])
-		per[r] = rankResult{epochs: epochs, opEpoch: opEpoch}
+		var err error
+		perEpochs[r], ops.ranks[r], err = extractRankEpochs(m, m.Set.Traces[r])
 		if sp != nil {
-			sp.Annotate("epochs", strconv.Itoa(len(epochs)))
-			sp.Annotate("ops", strconv.Itoa(len(opEpoch)))
+			sp.Annotate("epochs", strconv.Itoa(len(perEpochs[r])))
+			sp.Annotate("ops", strconv.Itoa(len(ops.ranks[r].seqs)))
 		}
 		return err
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, OpEpochs{}, err
 	}
-
-	total, totalOps := 0, 0
-	for r := range per {
-		total += len(per[r].epochs)
-		totalOps += len(per[r].opEpoch)
+	total := 0
+	for _, es := range perEpochs {
+		total += len(es)
 	}
 	epochs := make([]*Epoch, 0, total)
-	opEpoch := make(map[trace.ID]*Epoch, totalOps)
-	for r := range per {
-		epochs = append(epochs, per[r].epochs...)
-		for id, e := range per[r].opEpoch {
-			opEpoch[id] = e
-		}
+	for _, es := range perEpochs {
+		epochs = append(epochs, es...)
 	}
-	return epochs, opEpoch, nil
+	return epochs, ops, nil
 }
 
 // extractRankEpochs matches the synchronization calls of one rank's
 // trace. It reads only the (immutable after Build) model registries and
 // the rank's own events, so ranks may run concurrently.
-func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*Epoch, error) {
+func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOpEpochs, error) {
 	rank := t.Rank
 	var epochs []*Epoch
-	opEpoch := make(map[trace.ID]*Epoch)
+	var ops rankOpEpochs
 	// Per-window open-epoch state for this rank.
 	fence := map[int32]*Epoch{}    // win → open fence epoch
-	fenceSeen := map[int32]bool{}  // win → at least one fence seen
 	locks := map[[2]int32]*Epoch{} // (win, targetWorld) → open lock epoch
 	pscw := map[int32]*Epoch{}     // win → open access (start) epoch
 	lockAll := map[int32]*Epoch{}  // win → open lock_all epoch
@@ -131,6 +153,7 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*
 		e.End = end
 		epochs = append(epochs, e)
 	}
+	fail := func(err error) ([]*Epoch, rankOpEpochs, error) { return nil, rankOpEpochs{}, err }
 
 	for i := range t.Events {
 		ev := &t.Events[i]
@@ -141,11 +164,10 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*
 				closeEpoch(open, seq)
 			}
 			fence[ev.Win] = &Epoch{Kind: EpochFence, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
-			fenceSeen[ev.Win] = true
 		case trace.KindWinLock:
 			tw, err := lockTargetWorld(m, ev)
 			if err != nil {
-				return nil, nil, err
+				return fail(err)
 			}
 			kind := EpochLockShared
 			if ev.Lock == trace.LockExclusive {
@@ -153,48 +175,48 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*
 			}
 			key := [2]int32{ev.Win, tw}
 			if locks[key] != nil {
-				return nil, nil, fmt.Errorf("core: rank %d double-locks win %d target %d at %s",
-					rank, ev.Win, tw, ev.Loc())
+				return fail(fmt.Errorf("core: rank %d double-locks win %d target %d at %s",
+					rank, ev.Win, tw, ev.Loc()))
 			}
 			locks[key] = &Epoch{Kind: kind, Rank: rank, Win: ev.Win, Target: tw, Start: seq}
 		case trace.KindWinUnlock:
 			tw, err := lockTargetWorld(m, ev)
 			if err != nil {
-				return nil, nil, err
+				return fail(err)
 			}
 			key := [2]int32{ev.Win, tw}
 			open := locks[key]
 			if open == nil {
-				return nil, nil, fmt.Errorf("core: rank %d unlocks win %d target %d without lock at %s",
-					rank, ev.Win, tw, ev.Loc())
+				return fail(fmt.Errorf("core: rank %d unlocks win %d target %d without lock at %s",
+					rank, ev.Win, tw, ev.Loc()))
 			}
 			closeEpoch(open, seq)
 			delete(locks, key)
 		case trace.KindWinStart:
 			if pscw[ev.Win] != nil {
-				return nil, nil, fmt.Errorf("core: rank %d nested Win_start on win %d at %s",
-					rank, ev.Win, ev.Loc())
+				return fail(fmt.Errorf("core: rank %d nested Win_start on win %d at %s",
+					rank, ev.Win, ev.Loc()))
 			}
 			pscw[ev.Win] = &Epoch{Kind: EpochPSCW, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
 		case trace.KindWinComplete:
 			open := pscw[ev.Win]
 			if open == nil {
-				return nil, nil, fmt.Errorf("core: rank %d Win_complete without Win_start at %s",
-					rank, ev.Loc())
+				return fail(fmt.Errorf("core: rank %d Win_complete without Win_start at %s",
+					rank, ev.Loc()))
 			}
 			closeEpoch(open, seq)
 			delete(pscw, ev.Win)
 		case trace.KindWinLockAll:
 			if lockAll[ev.Win] != nil {
-				return nil, nil, fmt.Errorf("core: rank %d nested Win_lock_all on win %d at %s",
-					rank, ev.Win, ev.Loc())
+				return fail(fmt.Errorf("core: rank %d nested Win_lock_all on win %d at %s",
+					rank, ev.Win, ev.Loc()))
 			}
 			lockAll[ev.Win] = &Epoch{Kind: EpochLockAll, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
 		case trace.KindWinUnlockAll:
 			open := lockAll[ev.Win]
 			if open == nil {
-				return nil, nil, fmt.Errorf("core: rank %d Win_unlock_all without Win_lock_all at %s",
-					rank, ev.Loc())
+				return fail(fmt.Errorf("core: rank %d Win_unlock_all without Win_lock_all at %s",
+					rank, ev.Loc()))
 			}
 			closeEpoch(open, seq)
 			delete(lockAll, ev.Win)
@@ -202,44 +224,47 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, map[trace.ID]*
 			trace.KindGetAccumulate, trace.KindFetchOp, trace.KindCompareSwap:
 			tw, err := m.TargetWorld(ev)
 			if err != nil {
-				return nil, nil, err
+				return fail(err)
 			}
-			var e *Epoch
-			switch {
-			case locks[[2]int32{ev.Win, tw}] != nil:
-				e = locks[[2]int32{ev.Win, tw}]
-			case lockAll[ev.Win] != nil:
+			e := locks[[2]int32{ev.Win, tw}]
+			if e == nil {
 				e = lockAll[ev.Win]
-			case pscw[ev.Win] != nil:
+			}
+			if e == nil {
 				e = pscw[ev.Win]
-			case fence[ev.Win] != nil:
+			}
+			if e == nil {
 				e = fence[ev.Win]
-			default:
-				return nil, nil, fmt.Errorf("core: rank %d issues %s outside any epoch at %s",
-					rank, ev.Kind, ev.Loc())
+			}
+			if e == nil {
+				return fail(fmt.Errorf("core: rank %d issues %s outside any epoch at %s",
+					rank, ev.Kind, ev.Loc()))
 			}
 			e.Ops = append(e.Ops, ev.ID())
-			opEpoch[ev.ID()] = e
+			ops.seqs = append(ops.seqs, seq)
+			ops.epochs = append(ops.epochs, e)
 		}
 	}
 
-	// Close epochs truncated by the end of the trace.
-	end := int64(len(t.Events))
-	for _, e := range fence {
-		if e != nil {
-			closeEpoch(e, end)
+	// Close the epochs the end of the trace truncated, in a fixed order:
+	// map iteration order would make the epoch list vary run to run.
+	var open []*Epoch
+	for _, states := range []map[int32]*Epoch{fence, pscw, lockAll} {
+		for _, e := range states {
+			open = append(open, e)
 		}
 	}
 	for _, e := range locks {
+		open = append(open, e)
+	}
+	slices.SortFunc(open, func(a, b *Epoch) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.Win, b.Win), cmp.Compare(a.Target, b.Target))
+	})
+	end := int64(len(t.Events))
+	for _, e := range open {
 		closeEpoch(e, end)
 	}
-	for _, e := range pscw {
-		closeEpoch(e, end)
-	}
-	for _, e := range lockAll {
-		closeEpoch(e, end)
-	}
-	return epochs, opEpoch, nil
+	return epochs, ops, nil
 }
 
 func lockTargetWorld(m *model.Model, ev *trace.Event) (int32, error) {

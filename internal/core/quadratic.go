@@ -62,18 +62,19 @@ func (a *Analyzer) quadraticRegion(rg dag.Region) error {
 					return err
 				}
 				cls, _ := OpOf(ev.Kind)
-				sites = append(sites, site{ev: ev, isTarget: true, cls: cls, fp: target, epoch: a.opEpoch[ev.ID()]})
+				epoch := a.opEpoch.Of(ev.ID())
+				sites = append(sites, site{ev: ev, isTarget: true, cls: cls, fp: target, epoch: epoch})
 				origin, err := a.m.OriginFootprint(ev)
 				if err != nil {
 					return err
 				}
-				sites = append(sites, site{ev: ev, cls: originClass(ev.Kind), fp: origin, epoch: a.opEpoch[ev.ID()]})
+				sites = append(sites, site{ev: ev, cls: originClass(ev.Kind), fp: origin, epoch: epoch})
 				if ev.ResultCount > 0 {
 					result, err := a.m.ResultFootprint(ev)
 					if err != nil {
 						return err
 					}
-					sites = append(sites, site{ev: ev, cls: OpStore, fp: result, epoch: a.opEpoch[ev.ID()]})
+					sites = append(sites, site{ev: ev, cls: OpStore, fp: result, epoch: epoch})
 				}
 			case ev.Kind.IsLocalAccess():
 				cls := OpLoad

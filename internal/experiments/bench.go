@@ -7,7 +7,6 @@
 package experiments
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"runtime"
@@ -44,19 +43,6 @@ func statOf(r testing.BenchmarkResult, events int) BenchStat {
 		s.EventsPerSec = float64(events) / (s.NsPerOp / float64(time.Second.Nanoseconds()))
 	}
 	return s
-}
-
-// BenchDecode compares the pooled decode path against the pool disabled.
-// The pool trades allocations for per-op bookkeeping: AllocReductionPct
-// records what it saves, NsPerOpDeltaPct records what it costs (positive
-// = pooled is slower per op) — both are kept so a pool change that wins
-// one axis by regressing the other shows up honestly in the diff.
-type BenchDecode struct {
-	Events            int       `json:"events"`
-	Pooled            BenchStat `json:"pooled"`
-	Unpooled          BenchStat `json:"unpooled"`
-	AllocReductionPct float64   `json:"alloc_reduction_pct"`
-	NsPerOpDeltaPct   float64   `json:"ns_per_op_delta_pct"`
 }
 
 // BenchAnalyze compares the analyzer at one front-end worker against the
@@ -110,7 +96,6 @@ type BenchResult struct {
 	Amplify    int    `json:"amplify"`
 	BenchTime  string `json:"benchtime,omitempty"`
 
-	Decode    BenchDecode  `json:"decode"`
 	Signature BenchStat    `json:"signature"`
 	Analyze   BenchAnalyze `json:"analyze"`
 	Phases    []BenchPhase `json:"phases"`
@@ -183,9 +168,6 @@ func Bench(cfg BenchConfig) (*BenchResult, error) {
 		Amplify:    cfg.Amplify,
 		BenchTime:  cfg.BenchTime,
 	}
-	if err := benchDecode(sets, events, &res.Decode); err != nil {
-		return nil, err
-	}
 	res.Signature = benchSignature()
 	if err := benchAnalyze(sets, events, &res.Analyze); err != nil {
 		return nil, err
@@ -240,47 +222,6 @@ func benchCorpora(amplify int) ([]*trace.Set, error) {
 		sets = append(sets, sink.Set())
 	}
 	return sets, nil
-}
-
-// benchDecode times one full decode pass over the encoded corpora, with
-// the decode-context pool on and off.
-func benchDecode(sets []*trace.Set, events int, out *BenchDecode) error {
-	var bufs [][]byte
-	for _, set := range sets {
-		for _, t := range set.Traces {
-			b, err := trace.EncodeTrace(t)
-			if err != nil {
-				return fmt.Errorf("bench: encoding corpus: %w", err)
-			}
-			bufs = append(bufs, b)
-		}
-	}
-	decodeAll := func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, buf := range bufs {
-				if _, err := trace.ReadTrace(bytes.NewReader(buf)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	prev := trace.SetDecodePool(true)
-	pooled := testing.Benchmark(decodeAll)
-	trace.SetDecodePool(false)
-	unpooled := testing.Benchmark(decodeAll)
-	trace.SetDecodePool(prev)
-
-	out.Events = events
-	out.Pooled = statOf(pooled, events)
-	out.Unpooled = statOf(unpooled, events)
-	if out.Unpooled.AllocsPerOp > 0 {
-		out.AllocReductionPct = (1 - float64(out.Pooled.AllocsPerOp)/float64(out.Unpooled.AllocsPerOp)) * 100
-	}
-	if out.Unpooled.NsPerOp > 0 {
-		out.NsPerOpDeltaPct = (out.Pooled.NsPerOp - out.Unpooled.NsPerOp) / out.Unpooled.NsPerOp * 100
-	}
-	return nil
 }
 
 // benchSignature times the cached violation-identity path on a fresh

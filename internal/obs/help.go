@@ -61,10 +61,6 @@ var helpText = map[string]metricHelp{
 		"Wall-clock seconds spent per named pipeline phase."},
 	"mcchecker_pipeline_decode_events_per_sec": {kindGauge,
 		"Decode throughput of the most recent trace read, in events per second."},
-	"mcchecker_pipeline_decode_pool_hits_total": {kindCounter,
-		"Decoder scratch-buffer pool hits."},
-	"mcchecker_pipeline_decode_pool_misses_total": {kindCounter,
-		"Decoder scratch-buffer pool misses (fresh allocations)."},
 	"mcchecker_pipeline_decode_workers": {kindGauge,
 		"Worker goroutines used by the most recent parallel trace decode."},
 	"mcchecker_pipeline_front_end_workers": {kindGauge,

@@ -322,3 +322,65 @@ func TestParseSubmissionRejectsHostileShapes(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadInlineNegativeHeaderRank: an upload whose stream header claims
+// rank -1 is lost with a note in salvage mode and fails a strict job; it
+// never reaches set assembly.
+func TestLoadInlineNegativeHeaderRank(t *testing.T) {
+	ups := uploads(t, conflictSet())
+	neg, err := trace.EncodeTrace(&trace.Trace{Rank: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups[1].Data = neg
+	set, notes, err := (&Submission{Traces: ups}).loadInline(context.Background(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"rank 1 upload: lost entirely: trace: header rank -1 out of range",
+		"rank 1: no events recovered",
+	}
+	if strings.Join(notes, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("notes = %q, want %q", notes, want)
+	}
+	if set.Ranks() != 2 || len(set.Traces[1].Events) != 0 {
+		t.Fatalf("set = %d ranks, rank 1 with %d events", set.Ranks(), len(set.Traces[1].Events))
+	}
+	if _, _, err := (&Submission{Traces: ups, Strict: true}).loadInline(context.Background(), nil); err == nil {
+		t.Fatal("strict load accepted a rank -1 header")
+	}
+}
+
+// TestLoadInlineNotes pins the degradation notes and salvage counters of
+// the single-decode inline path: a clean upload adds neither, a truncated
+// one adds one note and counts its salvaged prefix, and a header naming
+// another rank is dropped with a note.
+func TestLoadInlineNotes(t *testing.T) {
+	ups := uploads(t, conflictSet())
+	ups = append(ups, RankUpload{Rank: 2, Data: ups[0].Data})
+	ups[1].Data = ups[1].Data[:len(ups[1].Data)-1]
+	reg := obs.NewRegistry()
+	set, notes, err := (&Submission{Traces: ups}).loadInline(context.Background(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"rank 1 upload: truncated, salvaged 2-event prefix (stream ended without end record: EOF)",
+		"rank 2 upload: header claims rank 0; upload ignored",
+		"rank 2: no events recovered",
+	}
+	if strings.Join(notes, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("notes = %q, want %q", notes, want)
+	}
+	if set.Ranks() != 3 || len(set.Traces[0].Events) != 4 {
+		t.Fatalf("set = %d ranks, rank 0 with %d events", set.Ranks(), len(set.Traces[0].Events))
+	}
+	snap := reg.Snapshot()
+	if got := snap.CounterValue("mcchecker_trace_salvaged_events_total"); got != 2 {
+		t.Errorf("salvaged_events_total = %d, want 2", got)
+	}
+	if got := snap.CounterValue("mcchecker_trace_truncated_streams_total"); got != 1 {
+		t.Errorf("truncated_streams_total = %d, want 1", got)
+	}
+}

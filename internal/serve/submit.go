@@ -124,35 +124,32 @@ func (sub *Submission) loadInline(ctx context.Context, reg *obs.Registry) (*trac
 		if u.Rank > maxRank {
 			maxRank = u.Rank
 		}
-		t, err := trace.ReadTrace(bytes.NewReader(u.Data))
-		if err == nil && t.Rank == u.Rank {
+		if sub.Strict {
+			t, err := trace.ReadTrace(bytes.NewReader(u.Data))
+			if err != nil {
+				return nil, nil, fmt.Errorf("serve: rank %d upload: %w", u.Rank, err)
+			}
+			if t.Rank != u.Rank {
+				return nil, nil, fmt.Errorf("serve: rank %d upload: header claims rank %d", u.Rank, t.Rank)
+			}
 			byRank[u.Rank] = t
 			continue
 		}
-		if err == nil {
-			// Decoded fine but the header disagrees with the declared rank:
-			// in salvage mode the upload is dropped with a note, exactly
-			// like a mis-named file on disk.
-			if sub.Strict {
-				return nil, nil, fmt.Errorf("serve: rank %d upload: header claims rank %d", u.Rank, t.Rank)
-			}
-			notes = append(notes, fmt.Sprintf("rank %d upload: header claims rank %d; upload ignored", u.Rank, t.Rank))
-			continue
-		}
-		if sub.Strict {
-			return nil, nil, fmt.Errorf("serve: rank %d upload: %w", u.Rank, err)
-		}
-		st, res, serr := trace.ReadTraceSalvage(bytes.NewReader(u.Data))
-		if serr != nil {
-			notes = append(notes, fmt.Sprintf("rank %d upload: lost entirely: %v", u.Rank, serr))
+		// One salvage decode serves both outcomes: a complete result is
+		// exactly what strict decoding returns.
+		st, res, err := trace.ReadTraceSalvage(bytes.NewReader(u.Data))
+		if err != nil {
+			notes = append(notes, fmt.Sprintf("rank %d upload: lost entirely: %v", u.Rank, err))
 			continue
 		}
 		if st.Rank != u.Rank {
+			// The header disagrees with the declared rank: the upload is
+			// dropped with a note, exactly like a mis-named file on disk.
 			notes = append(notes, fmt.Sprintf("rank %d upload: header claims rank %d; upload ignored", u.Rank, st.Rank))
 			continue
 		}
-		reg.Counter("mcchecker_trace_salvaged_events_total").Add(int64(res.Events))
 		if !res.Complete {
+			reg.Counter("mcchecker_trace_salvaged_events_total").Add(int64(res.Events))
 			reg.Counter("mcchecker_trace_truncated_streams_total").Inc()
 			notes = append(notes, fmt.Sprintf("rank %d upload: truncated, salvaged %d-event prefix (%s)",
 				u.Rank, res.Events, res.Reason))

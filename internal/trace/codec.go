@@ -2,13 +2,13 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/memory"
 )
@@ -173,87 +173,223 @@ func (w *Writer) Close() error {
 // Err returns the first write error, if any.
 func (w *Writer) Err() error { return w.err }
 
-// reader is the per-stream decode context: the buffered reader, the
-// string intern table, and a scratch buffer for string definitions. It is
-// recycled through readerPool across streams — decoding a trace directory
-// touches one context per rank file, and without pooling each decode pays
-// a fresh bufio buffer, intern table, and scratch allocation.
-type reader struct {
-	r       *bufio.Reader
-	strs    []string
-	scratch []byte
-}
+// The decoder reads each field in place from a refillable byte window
+// over the stream instead of one byte at a time through an interface.
+// fill(n) runs before each record, string payload, datatype segment and
+// communicator member, and makes n bytes resident unless the stream ends
+// first; the field decoders below then index the window directly, and
+// the window running dry inside a record means the stream ended there.
+// A sentinel continuation byte always follows the resident bytes, so a
+// varint's one-byte fast path needs no end check of its own and inlines.
+// The first decode error is sticky, so a record's fields decode in one
+// straight pass and the record is checked once at its end.
 
-// decodeReaderBufSize is the bufio buffer for pooled decode contexts —
-// large enough that typical rank files decode in a few refills.
-const decodeReaderBufSize = 1 << 16
+const (
+	// decodeWindow is the decode window's size, the sentinel's byte
+	// included, so it allocates exactly one 64 KiB block; a string payload
+	// larger than it grows the window for the rest of the stream.
+	decodeWindow = 1 << 16
+	// sentinel follows the window's resident bytes: as a varint
+	// continuation byte it sends the fast path to the checked slow path.
+	sentinel = 0x80
 
-var readerPool sync.Pool // of *reader
-
-var (
-	decodePoolOff    atomic.Bool
-	decodePoolHits   atomic.Int64
-	decodePoolMisses atomic.Int64
+	maxVarint = binary.MaxVarintLen64
+	// maxRecordHead bounds a record up to an event's segment count: the
+	// tag, the kind byte, two string ids, 20 varint fields, the lock and
+	// accumulate-op bytes, and the count itself. A string definition's
+	// tag, id and length fit in it too.
+	maxRecordHead = 2 + 2*maxVarint + 20*maxVarint + 2 + maxVarint
+	// maxHeader bounds the stream header: magic, version, rank and hint.
+	maxHeader = len(codecMagic) + 1 + 2*maxVarint
 )
 
-// SetDecodePool enables or disables decode-context recycling and returns
-// the previous setting. It exists for the benchmark harness, which
-// measures the pool's allocation effect by flipping it off; production
-// paths leave it on.
-func SetDecodePool(enabled bool) bool {
-	return !decodePoolOff.Swap(!enabled)
+// errVarintOverflow is encoding/binary's overflow error, so malformed
+// varints fail with the same error value the bufio-based reader gave.
+var errVarintOverflow = func() error {
+	_, err := binary.ReadUvarint(bytes.NewReader(bytes.Repeat([]byte{0xff}, maxVarint)))
+	return err
+}()
+
+// reader is the per-stream decode context: the window, the string intern
+// table and the sticky decode error. Contexts are recycled through
+// readerPool, so decoding a trace directory does not allocate a window
+// and an intern table per rank file.
+type reader struct {
+	r    io.Reader
+	buf  []byte // the window; buf[pos:end] is read but not yet decoded, buf[end] is the sentinel
+	pos  int
+	end  int
+	rerr error // the stream's read error, seen once the window runs dry
+	err  error // the first decode error
+	strs []string
 }
 
-// DecodePoolStats returns the cumulative decode-context pool hits and
-// misses. ReadDirObs exposes the per-read deltas as
-// mcchecker_pipeline_decode_pool_{hits,misses}_total.
-func DecodePoolStats() (hits, misses int64) {
-	return decodePoolHits.Load(), decodePoolMisses.Load()
+var readerPool = sync.Pool{New: func() any { return newReader() }}
+
+func newReader() *reader {
+	rd := &reader{buf: make([]byte, decodeWindow), strs: []string{""}}
+	rd.buf[0] = sentinel
+	return rd
 }
 
-// getReader returns a decode context wrapping r, recycled when possible.
+// getReader returns a recycled decode context reading r.
 func getReader(r io.Reader) *reader {
-	if !decodePoolOff.Load() {
-		if v := readerPool.Get(); v != nil {
-			rd := v.(*reader)
-			decodePoolHits.Add(1)
-			rd.r.Reset(r)
-			rd.strs = rd.strs[:1]
-			return rd
-		}
-	}
-	decodePoolMisses.Add(1)
-	return &reader{r: bufio.NewReaderSize(r, decodeReaderBufSize), strs: []string{""}}
+	rd := readerPool.Get().(*reader)
+	rd.r = r
+	return rd
 }
 
-// putReader recycles a decode context. The interned strings handed out to
-// decoded events are immutable Go strings; dropping the table references
-// here cannot invalidate them.
+// release recycles a decode context.
 func (rd *reader) release() {
-	if decodePoolOff.Load() {
-		return
-	}
-	strs := rd.strs[:cap(rd.strs)]
-	for i := 1; i < len(strs); i++ {
-		strs[i] = "" // do not pin decoded file/func names beyond this stream
-	}
-	rd.strs = strs[:1]
-	rd.r.Reset(nil)
+	rd.reset()
 	readerPool.Put(rd)
 }
 
-func (rd *reader) uvarint() (uint64, error) { return binary.ReadUvarint(rd.r) }
-func (rd *reader) varint() (int64, error)   { return binary.ReadVarint(rd.r) }
+// reset readies a context for its next stream, keeping the window and
+// the intern table's storage. The interned strings handed out to decoded
+// events are immutable Go strings; dropping the table references here
+// cannot invalidate them.
+func (rd *reader) reset() {
+	clear(rd.strs[1:]) // do not pin decoded file/func names beyond this stream
+	*rd = reader{buf: rd.buf, strs: rd.strs[:1]}
+	rd.buf[0] = sentinel
+}
+
+// fill makes at least n undecoded bytes resident in the window, reading
+// from the stream as needed. Fewer remain only when the stream returned
+// an error, which rerr then holds.
+func (rd *reader) fill(n int) {
+	if rd.end-rd.pos < n && rd.rerr == nil {
+		rd.refill(n)
+	}
+}
+
+func (rd *reader) refill(n int) {
+	if n >= len(rd.buf) {
+		buf := make([]byte, n+1)
+		rd.end = copy(buf, rd.buf[rd.pos:rd.end])
+		rd.buf = buf
+	} else {
+		rd.end = copy(rd.buf, rd.buf[rd.pos:rd.end])
+	}
+	rd.pos = 0
+	for empty := 0; rd.end < n && rd.rerr == nil; {
+		m, err := rd.r.Read(rd.buf[rd.end : len(rd.buf)-1])
+		rd.end += m
+		if err != nil {
+			rd.rerr = err
+		} else if m > 0 {
+			empty = 0
+		} else if empty++; empty == 100 {
+			rd.rerr = io.ErrNoProgress
+		}
+	}
+	rd.buf[rd.end] = sentinel
+}
+
+// short is the error for a field the stream ended in after got of the
+// field's bytes: the read error itself when got is 0, and an EOF inside
+// the field turned into io.ErrUnexpectedEOF, as io.ReadFull and
+// binary.ReadUvarint report them.
+func (rd *reader) short(got int) error {
+	if got > 0 && rd.rerr == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return rd.rerr
+}
+
+func (rd *reader) fail(err error) {
+	if rd.err == nil {
+		rd.err = err
+	}
+}
+
+func (rd *reader) u8() byte {
+	if rd.pos < rd.end {
+		b := rd.buf[rd.pos]
+		rd.pos++
+		return b
+	}
+	rd.fail(rd.short(0))
+	return 0
+}
+
+// uvarint decodes an unsigned varint; one-byte values take the inlined
+// fast path, which the sentinel stops at the end of the resident bytes.
+func (rd *reader) uvarint() uint64 {
+	if b := rd.buf[rd.pos]; b < 0x80 {
+		rd.pos++
+		return uint64(b)
+	}
+	return rd.uvarintSlow()
+}
+
+// uvarintSlow is binary.ReadUvarint over the window.
+func (rd *reader) uvarintSlow() uint64 {
+	var x uint64
+	var s uint
+	for i := 0; i < maxVarint; i++ {
+		if rd.pos == rd.end {
+			rd.fail(rd.short(i))
+			return 0
+		}
+		b := rd.buf[rd.pos]
+		rd.pos++
+		if b < 0x80 {
+			if i == maxVarint-1 && b > 1 {
+				break
+			}
+			return x | uint64(b)<<s
+		}
+		x |= uint64(b&0x7f) << s
+		s += 7
+	}
+	rd.fail(errVarintOverflow)
+	return 0
+}
+
+// varint decodes a zigzag-encoded signed varint.
+func (rd *reader) varint() int64 {
+	ux := rd.uvarint()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
+// int32 zigzag-decodes ux, a signed varint field's raw value, which must
+// fit an int32: it does exactly when ux < 1<<32. It inlines, so a signed
+// field decodes as rd.int32(rd.uvarint()) with no call on the fast path.
+func (rd *reader) int32(ux uint64) int32 {
+	if ux>>32 != 0 {
+		rd.overflow(ux)
+	}
+	return int32(ux>>1) ^ -int32(ux&1)
+}
+
+func (rd *reader) overflow(ux uint64) {
+	rd.fail(fmt.Errorf("trace: field value %d overflows int32", int64(ux>>1)^-int64(ux&1)))
+}
+
+// str decodes a string id and returns its interned string.
+func (rd *reader) str() string {
+	id := rd.uvarint()
+	if id >= uint64(len(rd.strs)) {
+		rd.fail(fmt.Errorf("undefined string id %d", id))
+		return ""
+	}
+	return rd.strs[id]
+}
 
 // readHeader parses the stream header (magic, version, rank, and the v2
 // count hint) shared by the strict and salvage decoders. The hint is 0
 // for v1 streams and for v2 writers that streamed without knowing their
 // event count.
 func (rd *reader) readHeader() (rank int32, hint uint64, err error) {
-	var hdr [len(codecMagic) + 1]byte
-	if _, err := io.ReadFull(rd.r, hdr[:]); err != nil {
-		return 0, 0, fmt.Errorf("trace: reading header: %w", err)
+	const fixed = len(codecMagic) + 1
+	rd.fill(maxHeader)
+	if got := rd.end - rd.pos; got < fixed {
+		return 0, 0, fmt.Errorf("trace: reading header: %w", rd.short(got))
 	}
+	hdr := rd.buf[rd.pos : rd.pos+fixed]
+	rd.pos += fixed
 	if string(hdr[:len(codecMagic)]) != codecMagic {
 		return 0, 0, errors.New("trace: bad magic")
 	}
@@ -261,13 +397,16 @@ func (rd *reader) readHeader() (rank int32, hint uint64, err error) {
 	if version != codecVersionV1 && version != codecVersion {
 		return 0, 0, fmt.Errorf("trace: unsupported version %d", version)
 	}
-	rank64, err := rd.varint()
-	if err != nil {
-		return 0, 0, fmt.Errorf("trace: reading rank: %w", err)
+	rank64 := rd.varint()
+	if rd.err != nil {
+		return 0, 0, fmt.Errorf("trace: reading rank: %w", rd.err)
+	}
+	if rank64 < 0 || rank64 > math.MaxInt32 {
+		return 0, 0, fmt.Errorf("trace: header rank %d out of range", rank64)
 	}
 	if version >= codecVersion {
-		if hint, err = rd.uvarint(); err != nil {
-			return 0, 0, fmt.Errorf("trace: reading event-count hint: %w", err)
+		if hint = rd.uvarint(); rd.err != nil {
+			return 0, 0, fmt.Errorf("trace: reading event-count hint: %w", rd.err)
 		}
 	}
 	return int32(rank64), hint, nil
@@ -285,59 +424,26 @@ func preallocEvents(t *Trace, hint uint64) {
 	t.Events = make([]Event, 0, hint)
 }
 
-func (rd *reader) varint32(dst *int32, err *error) {
-	if *err != nil {
-		return
-	}
-	v, e := rd.varint()
-	if e != nil {
-		*err = e
-		return
-	}
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		*err = fmt.Errorf("trace: field value %d overflows int32", v)
-		return
-	}
-	*dst = int32(v)
-}
-
-func (rd *reader) uvarint64(dst *uint64, err *error) {
-	if *err != nil {
-		return
-	}
-	v, e := rd.uvarint()
-	if e != nil {
-		*err = e
-		return
-	}
-	*dst = v
-}
-
-// readStrDef decodes one string-definition record into the intern table,
-// reusing the context's scratch buffer for the byte read.
+// readStrDef decodes one string-definition record into the intern table.
 func (rd *reader) readStrDef() error {
-	id, err := rd.uvarint()
-	if err != nil {
-		return err
-	}
-	n, err := rd.uvarint()
-	if err != nil {
-		return err
+	id := rd.uvarint()
+	n := rd.uvarint()
+	if rd.err != nil {
+		return rd.err
 	}
 	if n > 1<<20 {
 		return fmt.Errorf("trace: string of %d bytes too long", n)
 	}
-	if uint64(cap(rd.scratch)) < n {
-		rd.scratch = make([]byte, n)
+	rd.fill(int(n))
+	if got := rd.end - rd.pos; got < int(n) {
+		return rd.short(got)
 	}
-	buf := rd.scratch[:n]
-	if _, err := io.ReadFull(rd.r, buf); err != nil {
-		return err
-	}
+	b := rd.buf[rd.pos : rd.pos+int(n)]
+	rd.pos += int(n)
 	if id != uint64(len(rd.strs)) {
 		return fmt.Errorf("trace: string id %d out of order", id)
 	}
-	rd.strs = append(rd.strs, string(buf))
+	rd.strs = append(rd.strs, string(b))
 	return nil
 }
 
@@ -352,134 +458,118 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	}
 	t := &Trace{Rank: rank}
 	preallocEvents(t, hint)
+	if err := rd.readRecords(t, false); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
 
+// readRecords decodes records into t until the end record and returns
+// nil, or until the first bad record and returns why, worded for
+// ReadTrace or, with salvage set, as a SalvageResult reason. t keeps
+// every event decoded before the bad record.
+func (rd *reader) readRecords(t *Trace, salvage bool) error {
 	for {
-		tag, err := rd.r.ReadByte()
-		if err != nil {
-			return nil, fmt.Errorf("trace: reading record tag: %w", err)
+		rd.fill(maxRecordHead)
+		if rd.pos == rd.end {
+			if salvage {
+				return fmt.Errorf("stream ended without end record: %v", rd.rerr)
+			}
+			return fmt.Errorf("trace: reading record tag: %w", rd.rerr)
 		}
+		tag := rd.buf[rd.pos]
+		rd.pos++
 		switch tag {
 		case recEnd:
-			return t, nil
+			return nil
 		case recStrDef:
 			if err := rd.readStrDef(); err != nil {
-				return nil, err
+				if salvage {
+					return fmt.Errorf("bad string definition: %v", err)
+				}
+				return err
 			}
 		case recEvent:
-			ev, err := rd.readEvent(t.Rank, int64(len(t.Events)))
-			if err != nil {
-				return nil, fmt.Errorf("trace: rank %d event %d: %w", t.Rank, len(t.Events), err)
+			n := len(t.Events)
+			if n < cap(t.Events) {
+				t.Events = t.Events[:n+1] // spare capacity is zeroed
+			} else {
+				t.Events = append(t.Events, Event{})
 			}
-			t.Events = append(t.Events, ev)
+			ev := &t.Events[n]
+			ev.Rank, ev.Seq = t.Rank, int64(n)
+			if rd.readEvent(ev); rd.err != nil {
+				t.Events[n] = Event{}
+				t.Events = t.Events[:n]
+				if salvage {
+					return fmt.Errorf("event %d undecodable: %v", n, rd.err)
+				}
+				return fmt.Errorf("trace: rank %d event %d: %w", t.Rank, n, rd.err)
+			}
 		default:
-			return nil, fmt.Errorf("trace: unknown record tag %#x", tag)
+			if salvage {
+				return fmt.Errorf("unknown record tag %#x", tag)
+			}
+			return fmt.Errorf("trace: unknown record tag %#x", tag)
 		}
 	}
 }
 
-func (rd *reader) readEvent(rank int32, seq int64) (Event, error) {
-	var ev Event
-	ev.Rank, ev.Seq = rank, seq
-	kb, err := rd.r.ReadByte()
-	if err != nil {
-		return ev, err
+// readEvent decodes an event record's fields into ev, whose Rank and Seq
+// are already set. Errors land in rd.err.
+func (rd *reader) readEvent(ev *Event) {
+	kb := rd.u8()
+	if ev.Kind = Kind(kb); ev.Kind == KindInvalid || ev.Kind >= kindMax {
+		rd.fail(fmt.Errorf("invalid kind %d", kb))
 	}
-	ev.Kind = Kind(kb)
-	if ev.Kind == KindInvalid || ev.Kind >= kindMax {
-		return ev, fmt.Errorf("invalid kind %d", kb)
-	}
+	ev.File = rd.str()
+	ev.Func = rd.str()
+	ev.Line = rd.int32(rd.uvarint())
+	ev.Comm = rd.int32(rd.uvarint())
+	ev.Peer = rd.int32(rd.uvarint())
+	ev.Tag = rd.int32(rd.uvarint())
+	ev.Req = rd.int32(rd.uvarint())
+	ev.Win = rd.int32(rd.uvarint())
+	ev.Target = rd.int32(rd.uvarint())
+	ev.Lock = LockType(rd.u8())
+	ev.AccOp = AccOp(rd.u8())
+	ev.OriginAddr = rd.uvarint()
+	ev.OriginType = rd.int32(rd.uvarint())
+	ev.OriginCount = rd.int32(rd.uvarint())
+	ev.TargetDisp = rd.uvarint()
+	ev.TargetType = rd.int32(rd.uvarint())
+	ev.TargetCount = rd.int32(rd.uvarint())
+	ev.ResultAddr = rd.uvarint()
+	ev.ResultType = rd.int32(rd.uvarint())
+	ev.ResultCount = rd.int32(rd.uvarint())
+	ev.Assert = rd.int32(rd.uvarint())
+	ev.Addr = rd.uvarint()
+	ev.Size = rd.uvarint()
+	ev.TypeID = rd.int32(rd.uvarint())
 
-	fileID, err := rd.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if fileID >= uint64(len(rd.strs)) {
-		return ev, fmt.Errorf("undefined string id %d", fileID)
-	}
-	ev.File = rd.strs[fileID]
-	funcID, err := rd.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if funcID >= uint64(len(rd.strs)) {
-		return ev, fmt.Errorf("undefined string id %d", funcID)
-	}
-	ev.Func = rd.strs[funcID]
-
-	rd.varint32(&ev.Line, &err)
-	rd.varint32(&ev.Comm, &err)
-	rd.varint32(&ev.Peer, &err)
-	rd.varint32(&ev.Tag, &err)
-	rd.varint32(&ev.Req, &err)
-	rd.varint32(&ev.Win, &err)
-	rd.varint32(&ev.Target, &err)
-	if err != nil {
-		return ev, err
-	}
-	lb, err := rd.r.ReadByte()
-	if err != nil {
-		return ev, err
-	}
-	ev.Lock = LockType(lb)
-	ab, err := rd.r.ReadByte()
-	if err != nil {
-		return ev, err
-	}
-	ev.AccOp = AccOp(ab)
-
-	rd.uvarint64(&ev.OriginAddr, &err)
-	rd.varint32(&ev.OriginType, &err)
-	rd.varint32(&ev.OriginCount, &err)
-	rd.uvarint64(&ev.TargetDisp, &err)
-	rd.varint32(&ev.TargetType, &err)
-	rd.varint32(&ev.TargetCount, &err)
-	rd.uvarint64(&ev.ResultAddr, &err)
-	rd.varint32(&ev.ResultType, &err)
-	rd.varint32(&ev.ResultCount, &err)
-	rd.varint32(&ev.Assert, &err)
-	rd.uvarint64(&ev.Addr, &err)
-	rd.uvarint64(&ev.Size, &err)
-	rd.varint32(&ev.TypeID, &err)
-	if err != nil {
-		return ev, err
-	}
-
-	nseg, err := rd.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if nseg > 1<<16 {
-		return ev, fmt.Errorf("datatype with %d segments too large", nseg)
-	}
-	if nseg > 0 {
+	if nseg := rd.uvarint(); nseg > 1<<16 {
+		rd.fail(fmt.Errorf("datatype with %d segments too large", nseg))
+	} else if nseg > 0 && rd.err == nil {
 		ev.TypeMap.Segments = make([]memory.Segment, nseg)
 		for i := range ev.TypeMap.Segments {
-			rd.uvarint64(&ev.TypeMap.Segments[i].Disp, &err)
-			rd.uvarint64(&ev.TypeMap.Segments[i].Len, &err)
+			rd.fill(2 * maxVarint)
+			ev.TypeMap.Segments[i] = memory.Segment{Disp: rd.uvarint(), Len: rd.uvarint()}
 		}
 	}
-	rd.uvarint64(&ev.TypeMap.Extent, &err)
-	if err != nil {
-		return ev, err
-	}
+	rd.fill(2 * maxVarint)
+	ev.TypeMap.Extent = rd.uvarint()
 
-	nmem, err := rd.uvarint()
-	if err != nil {
-		return ev, err
-	}
-	if nmem > 1<<20 {
-		return ev, fmt.Errorf("communicator with %d members too large", nmem)
-	}
-	if nmem > 0 {
+	if nmem := rd.uvarint(); nmem > 1<<20 {
+		rd.fail(fmt.Errorf("communicator with %d members too large", nmem))
+	} else if nmem > 0 && rd.err == nil {
 		ev.Members = make([]int32, nmem)
 		for i := range ev.Members {
-			rd.varint32(&ev.Members[i], &err)
+			rd.fill(maxVarint)
+			ev.Members[i] = rd.int32(rd.uvarint())
 		}
 	}
-	rd.uvarint64(&ev.WinBase, &err)
-	rd.uvarint64(&ev.WinSize, &err)
-	var unit uint64
-	rd.uvarint64(&unit, &err)
-	ev.DispUnit = uint32(unit)
-	return ev, err
+	rd.fill(3 * maxVarint)
+	ev.WinBase = rd.uvarint()
+	ev.WinSize = rd.uvarint()
+	ev.DispUnit = uint32(rd.uvarint())
 }

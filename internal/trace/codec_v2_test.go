@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -148,14 +149,10 @@ func TestCodecHugeHintClamped(t *testing.T) {
 	}
 }
 
-// TestDecodePoolReuseSequential: repeated decodes hit the context pool
-// and keep producing identical results.
+// TestDecodePoolReuseSequential: repeated decodes of one stream, each
+// on a recycled decode context, keep producing identical results.
 func TestDecodePoolReuseSequential(t *testing.T) {
-	prev := SetDecodePool(true)
-	defer SetDecodePool(prev)
 	want, data := encodeSample(t, 3, 150)
-
-	hits0, _ := DecodePoolStats()
 	for i := 0; i < 10; i++ {
 		got, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
@@ -163,32 +160,48 @@ func TestDecodePoolReuseSequential(t *testing.T) {
 		}
 		eventsEqual(t, got.Events, want.Events)
 	}
-	hits1, _ := DecodePoolStats()
-	if hits1 <= hits0 {
-		t.Errorf("10 sequential decodes produced no pool hits (hits %d -> %d)", hits0, hits1)
-	}
 }
 
-// TestDecodePoolOffEquivalence: disabling the pool must not change the
-// decoded bytes in any way.
+// TestDecodePoolOffEquivalence: a decode context recycled after a stream
+// that grew its window, filled its intern table and failed mid-record
+// decodes the next stream exactly like a fresh context.
 func TestDecodePoolOffEquivalence(t *testing.T) {
 	want, data := encodeSample(t, 1, 90)
-	prev := SetDecodePool(false)
-	defer SetDecodePool(prev)
-	for i := 0; i < 3; i++ {
-		got, err := ReadTrace(bytes.NewReader(data))
-		if err != nil {
+	big := &Trace{Rank: 0, Events: []Event{{Kind: KindLoad, File: strings.Repeat("f", 3*decodeWindow), Func: "g"}}}
+	bigData, err := EncodeTrace(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readerOf := func(data []byte) *reader {
+		rd := newReader()
+		rd.r = bytes.NewReader(data)
+		return rd
+	}
+	for _, dirty := range [][]byte{bigData, bigData[:len(bigData)-5], data[:len(data)/2]} {
+		recycled := readerOf(dirty)
+		if _, _, err := recycled.readHeader(); err != nil {
 			t.Fatal(err)
 		}
-		eventsEqual(t, got.Events, want.Events)
+		recycled.readRecords(&Trace{}, true)
+		recycled.reset()
+		recycled.r = bytes.NewReader(data)
+		for _, ctx := range []*reader{recycled, readerOf(data)} {
+			rank, _, err := ctx.readHeader()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := &Trace{Rank: rank}
+			if err := ctx.readRecords(got, false); err != nil {
+				t.Fatal(err)
+			}
+			eventsEqual(t, got.Events, want.Events)
+		}
 	}
 }
 
 // TestDecodePoolConcurrent exercises pooled decode contexts from many
 // goroutines; run under -race this proves contexts are never shared.
 func TestDecodePoolConcurrent(t *testing.T) {
-	prev := SetDecodePool(true)
-	defer SetDecodePool(prev)
 	traces := make([]*Trace, 4)
 	datas := make([][]byte, 4)
 	for r := range traces {

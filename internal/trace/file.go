@@ -62,7 +62,7 @@ func traceFileNames(entries []os.DirEntry) []nameRank {
 	for _, name := range names {
 		rankStr := strings.TrimSuffix(strings.TrimPrefix(name, "trace."), ".bin")
 		rank, err := strconv.Atoi(rankStr)
-		if err != nil {
+		if err != nil || rank < 0 {
 			continue // not a trace file
 		}
 		out = append(out, nameRank{name: name, rank: rank})

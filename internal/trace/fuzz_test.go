@@ -31,6 +31,7 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	f.Add([]byte("MCCT"))
 	f.Add([]byte{})
+	f.Add([]byte(codecMagic + "\x02\x01\x00\x00")) // header claims rank -1
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(bytes.NewReader(data))
@@ -38,6 +39,9 @@ func FuzzReadTrace(f *testing.F) {
 			return
 		}
 		// A successfully decoded trace must be internally consistent.
+		if tr.Rank < 0 {
+			t.Fatalf("decoded negative rank %d", tr.Rank)
+		}
 		for i := range tr.Events {
 			ev := &tr.Events[i]
 			if ev.Rank != tr.Rank || ev.Seq != int64(i) {

@@ -113,8 +113,8 @@ func writeFileObs(path string, t *Trace, m *codecMetrics) error {
 
 // ReadDirObs is ReadDir with codec metrics recorded into reg (events and
 // bytes decoded per rank file) plus the pipeline front-end gauges: decode
-// throughput, decode-pool hit/miss deltas, and the worker count used for
-// the concurrent per-file decode. reg may be nil, which is exactly
+// throughput and the worker count used for the concurrent per-file
+// decode. reg may be nil, which is exactly
 // ReadDir.
 func ReadDirObs(dir string, reg *obs.Registry) (*Set, error) {
 	return ReadDirTraced(dir, reg, nil)
@@ -135,7 +135,6 @@ func ReadDirTracedContext(ctx context.Context, dir string, reg *obs.Registry, tr
 		return ReadDirContext(ctx, dir)
 	}
 	workers := decodeWorkers()
-	hits0, misses0 := DecodePoolStats()
 	start := time.Now()
 	var decodedBytes atomic.Int64
 	set, err := readDirWith(ctx, dir, workers, tr, func(f *os.File, sp *tracing.Span) (*Trace, error) {
@@ -160,10 +159,7 @@ func ReadDirTracedContext(ctx context.Context, dir string, reg *obs.Registry, tr
 		return set, nil
 	}
 	elapsed := time.Since(start)
-	hits1, misses1 := DecodePoolStats()
 	reg.Gauge("mcchecker_pipeline_decode_workers").Set(int64(workers))
-	reg.Counter("mcchecker_pipeline_decode_pool_hits_total").Add(hits1 - hits0)
-	reg.Counter("mcchecker_pipeline_decode_pool_misses_total").Add(misses1 - misses0)
 	if secs := elapsed.Seconds(); secs > 0 {
 		reg.Gauge("mcchecker_pipeline_decode_events_per_sec").Set(int64(float64(set.TotalEvents()) / secs))
 	}

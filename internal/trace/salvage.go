@@ -49,36 +49,13 @@ func ReadTraceSalvage(r io.Reader) (*Trace, SalvageResult, error) {
 	}
 	t := &Trace{Rank: rank}
 	preallocEvents(t, hint)
-
-	stop := func(format string, args ...any) (*Trace, SalvageResult, error) {
-		res.Events = len(t.Events)
-		res.Reason = fmt.Sprintf(format, args...)
-		return t, res, nil
+	if err := rd.readRecords(t, true); err != nil {
+		res.Reason = err.Error()
+	} else {
+		res.Complete = true
 	}
-	for {
-		tag, err := rd.r.ReadByte()
-		if err != nil {
-			return stop("stream ended without end record: %v", err)
-		}
-		switch tag {
-		case recEnd:
-			res.Complete = true
-			res.Events = len(t.Events)
-			return t, res, nil
-		case recStrDef:
-			if err := rd.readStrDef(); err != nil {
-				return stop("bad string definition: %v", err)
-			}
-		case recEvent:
-			ev, err := rd.readEvent(t.Rank, int64(len(t.Events)))
-			if err != nil {
-				return stop("event %d undecodable: %v", len(t.Events), err)
-			}
-			t.Events = append(t.Events, ev)
-		default:
-			return stop("unknown record tag %#x", tag)
-		}
-	}
+	res.Events = len(t.Events)
+	return t, res, nil
 }
 
 // salvageMetrics are the trace layer's degradation counters.

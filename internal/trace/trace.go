@@ -325,9 +325,10 @@ func (c *CountingSink) Stats() Stats {
 func Merge(parts ...*Trace) (*Set, error) {
 	maxRank := int32(-1)
 	for _, p := range parts {
-		if p.Rank > maxRank {
-			maxRank = p.Rank
+		if p.Rank < 0 {
+			return nil, fmt.Errorf("trace: negative rank %d", p.Rank)
 		}
+		maxRank = max(maxRank, p.Rank)
 	}
 	s := &Set{Traces: make([]*Trace, maxRank+1)}
 	for _, p := range parts {

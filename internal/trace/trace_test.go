@@ -1,9 +1,12 @@
 package trace
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -104,6 +107,68 @@ func TestMergeErrors(t *testing.T) {
 	s, err := Merge(&Trace{Rank: 1}, &Trace{Rank: 0})
 	if err != nil || s.Ranks() != 2 {
 		t.Errorf("merge failed: %v", err)
+	}
+	if _, err := Merge(&Trace{Rank: -1}); err == nil {
+		t.Error("negative rank must error")
+	}
+	if _, err := Merge(&Trace{Rank: 0}, &Trace{Rank: -1}); err == nil {
+		t.Error("negative rank beside a valid one must error")
+	}
+}
+
+// TestNegativeRankDirRejected: a stream whose header claims rank -1, in a
+// file named for rank -1 or for a valid rank, makes ReadDir and
+// ReadDirSalvage return an error or a note, never panic.
+func TestNegativeRankDirRejected(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	neg, err := EncodeTrace(&Trace{Rank: -1, Events: sampleEvents(-1, 4, rng)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTrace(bytes.NewReader(neg)); err == nil || !strings.Contains(err.Error(), "rank -1 out of range") {
+		t.Fatalf("ReadTrace of a rank -1 header: %v", err)
+	}
+	if _, _, err := ReadTraceSalvage(bytes.NewReader(neg)); err == nil {
+		t.Fatal("ReadTraceSalvage accepted a rank -1 header")
+	}
+
+	alone := t.TempDir()
+	if err := os.WriteFile(filepath.Join(alone, "trace.-1.bin"), neg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDir(alone); err == nil {
+		t.Error("ReadDir accepted a directory holding only trace.-1.bin")
+	}
+	if _, _, err := ReadDirSalvage(alone, nil); err == nil {
+		t.Error("ReadDirSalvage accepted a directory holding only trace.-1.bin")
+	}
+
+	misnamed := t.TempDir()
+	good, err := EncodeTrace(&Trace{Rank: 0, Events: sampleEvents(0, 4, rng)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{FileName(0): good, FileName(1): neg, "trace.-1.bin": neg} {
+		if err := os.WriteFile(filepath.Join(misnamed, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ReadDir(misnamed); err == nil || !strings.Contains(err.Error(), "trace.1.bin") {
+		t.Errorf("ReadDir with a rank -1 header in trace.1.bin: %v", err)
+	}
+	set, notes, err := ReadDirSalvage(misnamed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.Ranks() != 2 || len(set.Traces[0].Events) != 4 || len(set.Traces[1].Events) != 0 {
+		t.Fatalf("salvaged set spans %d ranks", set.Ranks())
+	}
+	want := []string{
+		"trace.1.bin: lost entirely: trace: header rank -1 out of range",
+		"rank 1: no events recovered",
+	}
+	if !reflect.DeepEqual(notes, want) {
+		t.Fatalf("notes = %q, want %q", notes, want)
 	}
 }
 
