@@ -519,3 +519,47 @@ func BenchmarkAnalysisPipeline(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkAnalysisHotRegion is one check of a single hot concurrent
+// region: 8 ranks, 4096 puts to one (window, target) vector, permuted
+// within each epoch. Each op decodes the rank streams from memory,
+// merges them, analyzes the set and renders the report as text and
+// JSON, so the detectors, not a producer, dominate.
+func BenchmarkAnalysisHotRegion(b *testing.B) {
+	set := experiments.PermutedShadowRegion(8, 4096, 1)
+	streams := make([][]byte, len(set.Traces))
+	for r, t := range set.Traces {
+		enc, err := trace.EncodeTrace(t)
+		if err != nil {
+			b.Fatal(err)
+		}
+		streams[r] = enc
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		parts := make([]*trace.Trace, len(streams))
+		for r, enc := range streams {
+			t, err := trace.ReadTrace(bytes.NewReader(enc))
+			if err != nil {
+				b.Fatal(err)
+			}
+			parts[r] = t
+		}
+		merged, err := trace.Merge(parts...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rep, err := core.Analyze(merged)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Errors()) == 0 {
+			b.Fatal("planted conflict not reported")
+		}
+		if _, err := rep.JSON(); err != nil {
+			b.Fatal(err)
+		}
+		_ = rep.String()
+	}
+}

@@ -262,6 +262,31 @@ type collector struct {
 	cross  *shadowRegion // the shadow engine's state, reset per region, shared likewise
 }
 
+// detectorScratch is the detectors' working state for one worker:
+// checkEpoch's buffers and the shadow engine's store and tables. Their
+// memory is sized by the largest epoch and region seen, so it is kept
+// across analyses in scratchPool rather than rebuilt per analysis.
+type detectorScratch struct {
+	intra epochBuffers
+	cross shadowRegion
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(detectorScratch) }}
+
+// getScratch takes a detector scratch from the pool.
+func getScratch() *detectorScratch { return scratchPool.Get().(*detectorScratch) }
+
+// release returns sc to the pool. It first drops everything sc holds of
+// the analysis it served — events, footprints, clocks, the analyzer and
+// collector, interned sites and operation classes, the dedup cache — so
+// a pooled scratch keeps no trace set alive and carries no state into
+// the next analysis, only capacity.
+func (sc *detectorScratch) release() {
+	sc.intra.release()
+	sc.cross.release()
+	scratchPool.Put(sc)
+}
+
 // add records v and returns the violation the report holds for its key:
 // v itself when new, else the earlier instance v was folded into.
 func (c *collector) add(v *Violation) *Violation { return c.report.add(c.vindex, v) }
@@ -286,7 +311,9 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 		return tr.Start(track, tr.Lane(fmt.Sprintf("worker %d", worker), s), s)
 	}
 	if a.opts.Workers <= 1 || n < 2 {
-		col := &collector{report: a.report, vindex: a.vindex, intra: new(epochBuffers), cross: new(shadowRegion)}
+		sc := getScratch()
+		defer sc.release()
+		col := &collector{report: a.report, vindex: a.vindex, intra: &sc.intra, cross: &sc.cross}
 		for i := 0; i < n; i++ {
 			if err := a.opts.ctxErr(); err != nil {
 				return err
@@ -316,14 +343,14 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var bufs epochBuffers
-			var cross shadowRegion
+			sc := getScratch()
+			defer sc.release()
 			for i := range work {
 				if err := a.opts.ctxErr(); err != nil {
 					results[i] = result{col: &collector{report: &Report{}}, err: err}
 					continue // keep draining so the feeder never blocks
 				}
-				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, intra: &bufs, cross: &cross}
+				col := &collector{report: &Report{}, vindex: map[string]*Violation{}, intra: &sc.intra, cross: &sc.cross}
 				sp := startSpan(w, i)
 				err := check(i, col)
 				sp.End()
@@ -414,15 +441,17 @@ func (a *Analyzer) checkRegion(rg dag.Region, col *collector) error {
 // (store-class at completion), and the logged message buffers of
 // point-to-point and collective calls ("all MPI calls performed to a
 // local buffer"). Shared by the pairwise and shadow engines so the two
-// cannot drift on what counts as a local access. A load or store's
-// footprint lives in one slice reused across visits; visit must not keep
-// it.
+// cannot drift on what counts as a local access. RMA buffers are read
+// from the operation table. A load or store's footprint lives in one
+// slice reused across visits; visit must not keep or modify any
+// footprint.
 func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 	visit func(ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool) error) error {
 	access := make([]memory.Interval, 1)
 	for r := 0; r < a.m.Set.Ranks(); r++ {
 		t := a.m.Set.Traces[r]
 		lo, hi := rg.Span(int32(r))
+		ro, cur := a.opEpoch.rank(int32(r)), -1 // cur: table index of the next RMA event
 		for seq := lo; seq < hi; seq++ {
 			ev := &t.Events[seq]
 			switch {
@@ -439,7 +468,12 @@ func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 				// The origin buffer access of an RMA call is treated as a
 				// local load (Put/Acc) or store (Get); the no-overlap store
 				// rule explicitly does not apply to it (paper §IV-C-4).
-				origin, err := a.m.OriginFootprint(ev)
+				if cur < 0 {
+					cur = ro.from(seq)
+				}
+				i := cur
+				cur++
+				origin, err := ro.footprint(i, sideOrigin)
 				if err != nil {
 					return err
 				}
@@ -449,7 +483,7 @@ func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 				if ev.ResultCount > 0 {
 					// The result buffer of a fetching atomic is written at
 					// completion: a store-class local access.
-					result, err := a.m.ResultFootprint(ev)
+					result, err := ro.footprint(i, sideResult)
 					if err != nil {
 						return err
 					}

@@ -73,23 +73,25 @@ type issuedOp struct {
 
 func (o *issuedOp) sides() []localSide { return o.locals[:o.nlocals] }
 
-// resolveOp fills o with ev's local sides, then its target footprint.
-func (a *Analyzer) resolveOp(o *issuedOp, ev *trace.Event) error {
+// resolveOp fills o with ev's local sides, then its target footprint,
+// read from entry i of ev's rank in the operation table. A footprint
+// that failed to resolve fails it, in that order.
+func resolveOp(o *issuedOp, ev *trace.Event, ro *rankOps, i int) error {
 	*o = issuedOp{ev: ev, nlocals: 1}
-	origin, err := a.m.OriginFootprint(ev)
+	origin, err := ro.footprint(i, sideOrigin)
 	if err != nil {
 		return err
 	}
 	o.locals[0] = localSide{fp: origin, write: ev.Kind == trace.KindGet, role: "origin"}
 	if ev.ResultCount > 0 {
-		result, err := a.m.ResultFootprint(ev)
+		result, err := ro.footprint(i, sideResult)
 		if err != nil {
 			return err
 		}
 		o.locals[1] = localSide{fp: result, write: true, role: "result"}
 		o.nlocals = 2
 	}
-	if o.target, err = a.m.TargetFootprint(ev); err != nil {
+	if o.target, err = ro.footprint(i, sideTarget); err != nil {
 		return err
 	}
 	o.tw = o.target.Rank
@@ -154,13 +156,21 @@ func (x *ivIndex) appendOverlaps(dst []int32, key int32, fp model.Footprint, bef
 }
 
 // epochBuffers holds checkEpoch's working state. A collector keeps one,
-// so the epochs it checks reuse the buffers instead of allocating anew.
+// so the epochs it checks reuse the buffers instead of allocating anew;
+// it comes from a pooled detectorScratch, so later analyses reuse it too.
 type epochBuffers struct {
 	ops     []issuedOp // the epoch's operations in issue order, resolved up to the next flush
 	pending []int32    // issued operations no Win_flush has completed, in issue order
 	targets ivIndex    // target footprints, keyed by target world rank
 	locals  ivIndex    // origin and result buffers not completed by Win_flush_local
 	cands   []int32
+	used    int // how many of ops the analysis has filled, for release
+}
+
+// release drops the operations' events and footprints, keeping capacity.
+func (s *epochBuffers) release() {
+	clear(s.ops[:s.used])
+	s.ops, s.used = s.ops[:0], 0
 }
 
 // reindex rebuilds both indexes from the pending operations and the
@@ -231,7 +241,12 @@ func (a *Analyzer) checkEpoch(e *Epoch, col *collector) error {
 	end := min(e.End, int64(len(t.Events)))
 	s := col.intra
 	s.ops, s.pending = slices.Grow(s.ops[:0], len(e.Ops)), s.pending[:0]
+	s.used = max(s.used, len(e.Ops))
 	next := 0 // e.Ops is in seq order; e.Ops[next] is the next one issued
+	// The operations are resolved in e.Ops order by following the
+	// epoch's links through the operation table; cur is the table index
+	// of e.Ops[len(s.ops)].
+	ro, cur := a.opEpoch.rank(e.Rank), int(e.first)
 	// A resolution error is held until the scan reaches the failing
 	// operation, so errors surface in event order.
 	var resolveErr error
@@ -243,9 +258,10 @@ func (a *Analyzer) checkEpoch(e *Epoch, col *collector) error {
 		for resolveErr == nil && len(s.ops) < len(e.Ops) && e.Ops[len(s.ops)].Seq < limit {
 			k := len(s.ops)
 			s.ops = s.ops[:k+1]
-			if resolveErr = a.resolveOp(&s.ops[k], &t.Events[e.Ops[k].Seq]); resolveErr != nil {
+			if resolveErr = resolveOp(&s.ops[k], &t.Events[e.Ops[k].Seq], ro, cur); resolveErr != nil {
 				s.ops = s.ops[:k]
 			}
+			cur = int(ro.ops[cur].next)
 		}
 		s.reindex(next)
 	}

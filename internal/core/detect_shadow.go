@@ -83,13 +83,15 @@ type shadowOp struct {
 // interning tables (operation classes, access sites, rule strings) that
 // keep the emit path free of fmt.Sprintf calls. One shadowRegion serves
 // every region a worker checks: reset empties the per-region parts, and
-// the tables, which are pure functions of their keys, carry over. A site
-// is interned and rendered only once an access matches.
+// the tables, which are pure functions of their keys, carry over to the
+// end of the analysis, where release empties them. A site is interned
+// and rendered only once an access matches.
 type shadowRegion struct {
 	a  *Analyzer
 	st *shadow.Store
 
 	ops    []shadowOp      // arena: Access.Payload indexes this
+	used   int             // how many of ops the analysis has filled, for release
 	opSite []shadow.SiteID // site of each stored op, -1 until it first matches
 
 	siteOps []string // rendered operand (operandString short=false) per SiteID
@@ -122,11 +124,36 @@ func (sr *shadowRegion) reset(a *Analyzer, col *collector, n int) {
 	sr.a = a
 	sr.st.Reset(n)
 	sr.ops = slices.Grow(sr.ops[:0], n)
+	sr.used = max(sr.used, n)
 	sr.opSite = slices.Grow(sr.opSite[:0], n)
 	if sr.col != col {
 		sr.col = col
 		clear(sr.seen)
 	}
+}
+
+// release empties sr of everything tied to the analysis it served: the
+// analyzer and collector, stored operations and clocks, interned sites
+// with their operand strings, operation classes with their
+// representative events, window-specific rule strings and the dedup
+// cache. Capacity and the pair-rule strings, a pure function of two
+// kinds, are kept.
+func (sr *shadowRegion) release() {
+	if sr.st == nil {
+		return
+	}
+	sr.a, sr.col = nil, nil
+	sr.st.Reset(0)
+	sr.st.Depot().Reset()
+	clear(sr.ops[:sr.used])
+	sr.ops, sr.opSite, sr.used = sr.ops[:0], sr.opSite[:0], 0
+	clear(sr.siteOps)
+	sr.siteOps = sr.siteOps[:0]
+	clear(sr.classIdx)
+	clear(sr.classRep)
+	sr.classRep = sr.classRep[:0]
+	clear(sr.localRules)
+	clear(sr.seen)
 }
 
 // site interns an event's access site, rendering its operand string
@@ -253,12 +280,17 @@ func (sr *shadowRegion) matchRMA(rg dag.Region) error {
 	for r := 0; r < a.m.Set.Ranks(); r++ {
 		t := a.m.Set.Traces[r]
 		lo, hi := rg.Span(int32(r))
+		ro, cur := a.opEpoch.rank(int32(r)), -1 // cur: table index of the next RMA event
 		for seq := lo; seq < hi; seq++ {
 			ev := &t.Events[seq]
 			if !ev.Kind.IsRMAComm() {
 				continue
 			}
-			target, err := a.m.TargetFootprint(ev)
+			if cur < 0 {
+				cur = ro.from(seq)
+			}
+			target, err := ro.footprint(cur, sideTarget)
+			cur++
 			if err != nil {
 				return err
 			}

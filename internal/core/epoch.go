@@ -50,6 +50,10 @@ type Epoch struct {
 	Start  int64 // seq of the opening sync event
 	End    int64 // seq of the closing sync event (len(trace) if truncated)
 	Ops    []trace.ID
+
+	// first is the operation-table index of Ops[0], -1 when Ops is empty;
+	// the table links each of the epoch's operations to the next.
+	first int32
 }
 
 func (e *Epoch) String() string {
@@ -57,48 +61,19 @@ func (e *Epoch) String() string {
 		e.Rank, e.Win, e.Kind, e.Start, e.End, len(e.Ops))
 }
 
-// OpEpochs maps each RMA operation to the epoch that issued it. Per rank
-// it keeps the operations' seqs in scan order, which is ascending, next
-// to their epochs, and Of finds an operation by binary search. Its size
-// follows the RMA operations, not the events, and building it hashes
-// nothing.
-type OpEpochs struct {
-	ranks []rankOpEpochs
-}
-
-// rankOpEpochs is one rank's RMA operations: seqs[i] was issued in
-// epochs[i].
-type rankOpEpochs struct {
-	seqs   []int64
-	epochs []*Epoch
-}
-
-// Of returns the epoch that issued RMA operation id, or nil when id is not
-// an RMA operation of the extracted trace.
-func (o OpEpochs) Of(id trace.ID) *Epoch {
-	if id.Rank < 0 || int(id.Rank) >= len(o.ranks) {
-		return nil
-	}
-	r := &o.ranks[id.Rank]
-	if i, ok := slices.BinarySearch(r.seqs, id.Seq); ok {
-		return r.epochs[i]
-	}
-	return nil
-}
-
 // ExtractEpochs walks every rank's trace and groups RMA operations into
 // epochs by matching the synchronization calls (paper §III-C: "MC-Checker
 // first scans all the vertices belonging to a process and identifies all
 // the epochs within the process by matching the synchronization calls").
-// It returns the epochs and the index from each RMA operation to its
-// epoch.
+// It returns the epochs and the operation table, which maps each RMA
+// operation to its epoch and holds its resolved footprints.
 func ExtractEpochs(m *model.Model) ([]*Epoch, OpEpochs, error) {
 	return ExtractEpochsWorkers(m, 1)
 }
 
 // ExtractEpochsWorkers is ExtractEpochs with the per-rank scans fanned
 // out over a worker pool. Epoch matching never crosses ranks, so each
-// rank's epochs and op→epoch assignments are computed independently and
+// rank's epochs and operations are computed independently and
 // concatenated in rank order — the exact sequence the serial walk
 // produces, keeping every downstream consumer byte-identical.
 func ExtractEpochsWorkers(m *model.Model, workers int) ([]*Epoch, OpEpochs, error) {
@@ -111,14 +86,14 @@ func ExtractEpochsWorkers(m *model.Model, workers int) ([]*Epoch, OpEpochs, erro
 func ExtractEpochsWorkersTraced(m *model.Model, workers int, tr *tracing.Recorder) ([]*Epoch, OpEpochs, error) {
 	n := len(m.Set.Traces)
 	perEpochs := make([][]*Epoch, n)
-	ops := OpEpochs{ranks: make([]rankOpEpochs, n)}
+	ops := OpEpochs{ranks: make([]rankOps, n)}
 	scope := func(r int) string { return fmt.Sprintf("rank %d", r) }
 	err := par.RanksTraced(n, workers, tr, "epochs", scope, func(r int, sp *tracing.Span) error {
 		var err error
 		perEpochs[r], ops.ranks[r], err = extractRankEpochs(m, m.Set.Traces[r])
 		if sp != nil {
 			sp.Annotate("epochs", strconv.Itoa(len(perEpochs[r])))
-			sp.Annotate("ops", strconv.Itoa(len(ops.ranks[r].seqs)))
+			sp.Annotate("ops", strconv.Itoa(len(ops.ranks[r].ops)))
 		}
 		return err
 	})
@@ -136,24 +111,49 @@ func ExtractEpochsWorkersTraced(m *model.Model, workers int, tr *tracing.Recorde
 	return epochs, ops, nil
 }
 
+// opensEpoch reports whether an event of kind k opens an epoch. Each such
+// event opens exactly one, so counting them sizes a rank's epoch list.
+func opensEpoch(k trace.Kind) bool {
+	switch k {
+	case trace.KindWinFence, trace.KindWinLock, trace.KindWinStart, trace.KindWinLockAll:
+		return true
+	}
+	return false
+}
+
 // extractRankEpochs matches the synchronization calls of one rank's
-// trace. It reads only the (immutable after Build) model registries and
-// the rank's own events, so ranks may run concurrently.
-func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOpEpochs, error) {
+// trace and builds the rank's part of the operation table. It reads only
+// the (immutable after Build) model registries and the rank's own
+// events, so ranks may run concurrently. Its epochs, operations and
+// operation IDs are counted first and each allocated once at their size.
+func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOps, error) {
 	rank := t.Rank
-	var epochs []*Epoch
-	var ops rankOpEpochs
+	nops, nepochs := 0, 0
+	for i := range t.Events {
+		if k := t.Events[i].Kind; k.IsRMAComm() {
+			nops++
+		} else if opensEpoch(k) {
+			nepochs++
+		}
+	}
+	store := make([]Epoch, 0, nepochs) // never outgrows its capacity, so &store[i] is stable
+	epochs := make([]*Epoch, 0, nepochs)
+	ops := rankOps{rank: rank, ops: make([]opEntry, 0, nops)}
 	// Per-window open-epoch state for this rank.
 	fence := map[int32]*Epoch{}    // win → open fence epoch
 	locks := map[[2]int32]*Epoch{} // (win, targetWorld) → open lock epoch
 	pscw := map[int32]*Epoch{}     // win → open access (start) epoch
 	lockAll := map[int32]*Epoch{}  // win → open lock_all epoch
 
+	openEpoch := func(kind EpochKind, win, target int32, start int64) *Epoch {
+		store = append(store, Epoch{Kind: kind, Rank: rank, Win: win, Target: target, Start: start, first: -1})
+		return &store[len(store)-1]
+	}
 	closeEpoch := func(e *Epoch, end int64) {
 		e.End = end
 		epochs = append(epochs, e)
 	}
-	fail := func(err error) ([]*Epoch, rankOpEpochs, error) { return nil, rankOpEpochs{}, err }
+	fail := func(err error) ([]*Epoch, rankOps, error) { return nil, rankOps{}, err }
 
 	for i := range t.Events {
 		ev := &t.Events[i]
@@ -163,7 +163,7 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOpEpochs, 
 			if open := fence[ev.Win]; open != nil {
 				closeEpoch(open, seq)
 			}
-			fence[ev.Win] = &Epoch{Kind: EpochFence, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
+			fence[ev.Win] = openEpoch(EpochFence, ev.Win, -1, seq)
 		case trace.KindWinLock:
 			tw, err := lockTargetWorld(m, ev)
 			if err != nil {
@@ -178,7 +178,7 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOpEpochs, 
 				return fail(fmt.Errorf("core: rank %d double-locks win %d target %d at %s",
 					rank, ev.Win, tw, ev.Loc()))
 			}
-			locks[key] = &Epoch{Kind: kind, Rank: rank, Win: ev.Win, Target: tw, Start: seq}
+			locks[key] = openEpoch(kind, ev.Win, tw, seq)
 		case trace.KindWinUnlock:
 			tw, err := lockTargetWorld(m, ev)
 			if err != nil {
@@ -197,7 +197,7 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOpEpochs, 
 				return fail(fmt.Errorf("core: rank %d nested Win_start on win %d at %s",
 					rank, ev.Win, ev.Loc()))
 			}
-			pscw[ev.Win] = &Epoch{Kind: EpochPSCW, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
+			pscw[ev.Win] = openEpoch(EpochPSCW, ev.Win, -1, seq)
 		case trace.KindWinComplete:
 			open := pscw[ev.Win]
 			if open == nil {
@@ -211,7 +211,7 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOpEpochs, 
 				return fail(fmt.Errorf("core: rank %d nested Win_lock_all on win %d at %s",
 					rank, ev.Win, ev.Loc()))
 			}
-			lockAll[ev.Win] = &Epoch{Kind: EpochLockAll, Rank: rank, Win: ev.Win, Target: -1, Start: seq}
+			lockAll[ev.Win] = openEpoch(EpochLockAll, ev.Win, -1, seq)
 		case trace.KindWinUnlockAll:
 			open := lockAll[ev.Win]
 			if open == nil {
@@ -240,9 +240,7 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOpEpochs, 
 				return fail(fmt.Errorf("core: rank %d issues %s outside any epoch at %s",
 					rank, ev.Kind, ev.Loc()))
 			}
-			e.Ops = append(e.Ops, ev.ID())
-			ops.seqs = append(ops.seqs, seq)
-			ops.epochs = append(ops.epochs, e)
+			ops.ops = append(ops.ops, opEntry{seq: seq, epoch: e, tw: tw})
 		}
 	}
 
@@ -263,6 +261,11 @@ func extractRankEpochs(m *model.Model, t *trace.Trace) ([]*Epoch, rankOpEpochs, 
 	end := int64(len(t.Events))
 	for _, e := range open {
 		closeEpoch(e, end)
+	}
+
+	ops.linkEpochs(store)
+	if err := ops.resolve(m, t); err != nil {
+		return fail(err)
 	}
 	return epochs, ops, nil
 }

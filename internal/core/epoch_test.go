@@ -230,7 +230,7 @@ func TestOpEpochsMatchesMap(t *testing.T) {
 			}
 			mapped := 0
 			for _, r := range ops.ranks {
-				mapped += len(r.seqs)
+				mapped += len(r.ops)
 			}
 			if mapped != len(want) {
 				t.Errorf("%s/%s: OpEpochs maps %d ops, epochs hold %d", bc.Name, variant, mapped, len(want))

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -85,22 +86,53 @@ func (dm DataMap) Normalize() DataMap {
 // base and returns the touched byte intervals in ascending order.
 // Intervals of adjacent elements are coalesced when contiguous.
 func (dm DataMap) Tile(base uint64, count int) []Interval {
+	return dm.AppendTile(nil, base, count)
+}
+
+// AppendTile appends the intervals Tile(base, count) returns to dst and
+// returns the extended slice. The new intervals coalesce with each other
+// only, never with an entry already in dst.
+func (dm DataMap) AppendTile(dst []Interval, base uint64, count int) []Interval {
 	if count <= 0 || len(dm.Segments) == 0 {
-		return nil
+		return dst
 	}
-	out := make([]Interval, 0, count*len(dm.Segments))
+	dst = slices.Grow(dst, dm.tileLen(count))
+	first := len(dst)
 	for e := 0; e < count; e++ {
 		origin := base + uint64(e)*dm.Extent
 		for _, s := range dm.Segments {
 			iv := Iv(origin+s.Disp, s.Len)
-			if n := len(out); n > 0 && out[n-1].Hi == iv.Lo {
-				out[n-1].Hi = iv.Hi // coalesce
+			if n := len(dst); n > first && dst[n-1].Hi == iv.Lo {
+				dst[n-1].Hi = iv.Hi // coalesce
 				continue
 			}
-			out = append(out, iv)
+			dst = append(dst, iv)
 		}
 	}
-	return out
+	return dst
+}
+
+// tileLen returns the number of intervals Tile(base, count) returns,
+// whatever base is, in time linear in the number of segments: an
+// interval ends where the next begins exactly when its segment ends where
+// the next segment (of the same element, or of the next one a stride
+// later) starts, and that test does not depend on base.
+func (dm DataMap) tileLen(count int) int {
+	k := len(dm.Segments)
+	if count <= 0 || k == 0 {
+		return 0
+	}
+	per := k // intervals per element
+	for i := 1; i < k; i++ {
+		if prev := dm.Segments[i-1]; prev.Disp+prev.Len == dm.Segments[i].Disp {
+			per--
+		}
+	}
+	n := count * per
+	if last := dm.Segments[k-1]; last.Disp+last.Len == dm.Extent+dm.Segments[0].Disp {
+		n -= count - 1 // each element's last interval runs into the next one's first
+	}
+	return n
 }
 
 // TileBytes returns Size()*count, the bytes moved by a count-element access.

@@ -2,6 +2,7 @@ package memory
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -165,6 +166,74 @@ func TestTileInvariant(t *testing.T) {
 		return total == dm.TileBytes(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// AppendTile extends dst with Tile's intervals and never coalesces the
+// first of them into an entry dst already held, even when they touch.
+func TestAppendTileKeepsPrefix(t *testing.T) {
+	contig := Contig(8)
+	dst := []Interval{Iv(0, 8)}
+	got := contig.AppendTile(dst, 8, 2) // starts where dst[0] ends
+	want := []Interval{Iv(0, 8), Iv(8, 16)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendTile = %v, want %v", got, want)
+	}
+	if dst[0] != Iv(0, 8) {
+		t.Fatalf("AppendTile changed dst[0] to %v", dst[0])
+	}
+	// A strided tile appended twice back to back: the second call's first
+	// interval touches the first call's last one and stays separate.
+	strided := DataMap{Segments: []Segment{{0, 4}, {4, 4}}, Extent: 16}
+	got = strided.AppendTile(strided.AppendTile(nil, 0, 1), 8, 1)
+	want = []Interval{Iv(0, 8), Iv(8, 8)}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("back-to-back AppendTile = %v, want %v", got, want)
+	}
+	if got := contig.AppendTile(dst, 8, 0); !reflect.DeepEqual(got, dst) {
+		t.Fatalf("AppendTile with count 0 = %v, want dst unchanged", got)
+	}
+}
+
+// Property: AppendTile onto any prefix leaves the prefix as it was and
+// appends exactly Tile's intervals, tileLen of them.
+func TestAppendTileMatchesTile(t *testing.T) {
+	f := func(segs []uint16, ext uint8, count uint8, prefix uint8) bool {
+		if len(segs) > 5 {
+			segs = segs[:5]
+		}
+		dm := DataMap{}
+		var at uint64
+		for _, s := range segs {
+			// Gaps of 0..3 bytes and lengths of 0..7 make adjacent,
+			// empty and separated segments all common.
+			at += uint64(s % 4)
+			n := uint64(s/4) % 8
+			dm.Segments = append(dm.Segments, Segment{Disp: at, Len: n})
+			at += n
+		}
+		// Extents below, at and above the span, so elements overlap,
+		// touch and leave gaps.
+		dm.Extent = dm.Span() + uint64(ext%5) - 2
+		if ext%7 == 0 {
+			dm.Extent = 0
+		}
+		n := int(count%6) - 1
+		base := uint64(1000)
+		dst := make([]Interval, int(prefix%3))
+		for i := range dst {
+			dst[i] = Iv(uint64(i)*4, 4)
+		}
+		dst = append(dst, Iv(900, base-900)) // ends where the tile starts
+		before := slices.Clone(dst)
+		got := dm.AppendTile(dst, base, n)
+		want := dm.Tile(base, n)
+		return slices.Equal(got[:len(before)], before) &&
+			slices.Equal(got[len(before):], want) &&
+			len(want) == dm.tileLen(n)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

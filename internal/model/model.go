@@ -268,51 +268,88 @@ func (m *Model) TargetWorld(ev *trace.Event) (int32, error) {
 // TargetFootprint computes the window-buffer bytes an RMA operation touches
 // at the target.
 func (m *Model) TargetFootprint(ev *trace.Event) (Footprint, error) {
+	ivs, tw, err := m.AppendTargetFootprint(nil, ev)
+	if err != nil {
+		return Footprint{}, err
+	}
+	return Footprint{Rank: tw, Intervals: ivs}, nil
+}
+
+// AppendTargetFootprint appends TargetFootprint's intervals to dst and
+// returns the extended slice with the target world rank, so footprints
+// can share one arena. It fails exactly when TargetFootprint does, with
+// the same error, and then returns dst unchanged.
+func (m *Model) AppendTargetFootprint(dst []memory.Interval, ev *trace.Event) ([]memory.Interval, int32, error) {
 	if !ev.Kind.IsRMAComm() {
-		return Footprint{}, fmt.Errorf("model: %v is not an RMA operation", ev.Kind)
+		return dst, 0, fmt.Errorf("model: %v is not an RMA operation", ev.Kind)
 	}
 	wi, err := m.Win(ev.Win)
 	if err != nil {
-		return Footprint{}, err
+		return dst, 0, err
 	}
-	tw, err := m.TargetWorld(ev)
+	ci, err := m.Comm(wi.Comm) // TargetWorld, without looking up the window twice
 	if err != nil {
-		return Footprint{}, err
+		return dst, 0, err
+	}
+	tw, err := ci.World(ev.Target)
+	if err != nil {
+		return dst, 0, err
 	}
 	local, ok := wi.Locals[tw]
 	if !ok {
-		return Footprint{}, fmt.Errorf("model: window %d has no local buffer at rank %d", ev.Win, tw)
+		return dst, 0, fmt.Errorf("model: window %d has no local buffer at rank %d", ev.Win, tw)
 	}
 	dm, err := m.Type(ev.Rank, ev.TargetType)
 	if err != nil {
-		return Footprint{}, err
+		return dst, 0, err
 	}
 	base := local.Base + ev.TargetDisp*uint64(local.DispUnit)
-	return Footprint{Rank: tw, Intervals: dm.Tile(base, int(ev.TargetCount))}, nil
+	return dm.AppendTile(dst, base, int(ev.TargetCount)), tw, nil
 }
 
 // OriginFootprint computes the local-buffer bytes an RMA operation (or a
 // p2p/collective call) touches at the origin rank.
 func (m *Model) OriginFootprint(ev *trace.Event) (Footprint, error) {
-	dm, err := m.Type(ev.Rank, ev.OriginType)
+	ivs, err := m.AppendOriginFootprint(nil, ev)
 	if err != nil {
 		return Footprint{}, err
 	}
-	return Footprint{Rank: ev.Rank, Intervals: dm.Tile(ev.OriginAddr, int(ev.OriginCount))}, nil
+	return Footprint{Rank: ev.Rank, Intervals: ivs}, nil
+}
+
+// AppendOriginFootprint appends OriginFootprint's intervals to dst, as
+// AppendTargetFootprint does.
+func (m *Model) AppendOriginFootprint(dst []memory.Interval, ev *trace.Event) ([]memory.Interval, error) {
+	dm, err := m.Type(ev.Rank, ev.OriginType)
+	if err != nil {
+		return dst, err
+	}
+	return dm.AppendTile(dst, ev.OriginAddr, int(ev.OriginCount)), nil
 }
 
 // ResultFootprint computes the local result-buffer bytes a fetching atomic
 // (Get_accumulate, Fetch_and_op, Compare_and_swap) writes at completion.
 // It returns an empty footprint for operations without a result buffer.
 func (m *Model) ResultFootprint(ev *trace.Event) (Footprint, error) {
-	if ev.ResultCount <= 0 {
-		return Footprint{Rank: ev.Rank}, nil
-	}
-	dm, err := m.Type(ev.Rank, ev.ResultType)
+	ivs, err := m.AppendResultFootprint(nil, ev)
 	if err != nil {
 		return Footprint{}, err
 	}
-	return Footprint{Rank: ev.Rank, Intervals: dm.Tile(ev.ResultAddr, int(ev.ResultCount))}, nil
+	return Footprint{Rank: ev.Rank, Intervals: ivs}, nil
+}
+
+// AppendResultFootprint appends ResultFootprint's intervals to dst, as
+// AppendTargetFootprint does; it appends none for an operation without a
+// result buffer.
+func (m *Model) AppendResultFootprint(dst []memory.Interval, ev *trace.Event) ([]memory.Interval, error) {
+	if ev.ResultCount <= 0 {
+		return dst, nil
+	}
+	dm, err := m.Type(ev.Rank, ev.ResultType)
+	if err != nil {
+		return dst, err
+	}
+	return dm.AppendTile(dst, ev.ResultAddr, int(ev.ResultCount)), nil
 }
 
 // AccessFootprint computes the bytes a local load/store touches.

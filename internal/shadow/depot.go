@@ -41,3 +41,6 @@ func (d *Depot) Intern(kind uint8, file string, line int32, fn string) (id SiteI
 
 // Len returns the number of distinct interned sites.
 func (d *Depot) Len() int { return len(d.index) }
+
+// Reset forgets every site, keeping the depot's memory; IDs restart at 0.
+func (d *Depot) Reset() { clear(d.index) }

@@ -233,7 +233,8 @@ func NewStore(depot *Depot) *Store {
 func (s *Store) Depot() *Depot { return s.depot }
 
 // Reset empties the store for the next region, keeping its memory, and
-// reserves room for n accesses. The depot is kept as it is.
+// reserves room for n accesses. The depot is kept as it is. A reset
+// store holds no reference to a clock it was given.
 func (s *Store) Reset(n int) {
 	for _, v := range s.vectors {
 		clear(v.cells)
@@ -245,6 +246,7 @@ func (s *Store) Reset(n int) {
 		s.free = append(s.free, v)
 	}
 	clear(s.vectors)
+	clear(s.arena)
 	s.arena = slices.Grow(s.arena[:0], n)
 	s.groups.reset()
 	s.entries.reset()

@@ -352,7 +352,9 @@ const (
 	TypeUserBase int32 = 100
 )
 
-var predefined = map[int32]memory.DataMap{
+// predefined is indexed by datatype id; ids outside [TypeByte,
+// TypeFloat64] are not predefined.
+var predefined = [...]memory.DataMap{
 	TypeByte:    memory.Contig(1),
 	TypeInt32:   memory.Contig(4),
 	TypeInt64:   memory.Contig(8),
@@ -362,12 +364,11 @@ var predefined = map[int32]memory.DataMap{
 
 // PredefinedType returns the data-map of a predefined datatype id.
 func PredefinedType(id int32) (memory.DataMap, bool) {
-	dm, ok := predefined[id]
-	return dm, ok
+	if !IsPredefinedType(id) {
+		return memory.DataMap{}, false
+	}
+	return predefined[id], true
 }
 
 // IsPredefinedType reports whether id names a predefined datatype.
-func IsPredefinedType(id int32) bool {
-	_, ok := predefined[id]
-	return ok
-}
+func IsPredefinedType(id int32) bool { return id >= TypeByte && id <= TypeFloat64 }

@@ -87,8 +87,10 @@ func (m *salvageMetrics) record(res SalvageResult) {
 // ReadDirSalvage loads a trace directory in salvage mode: every readable
 // prefix is recovered, unreadable or missing ranks become empty traces,
 // and each degradation is described by one diagnostic note. The returned
-// notes are empty exactly when the directory was read losslessly. It
-// fails only when the directory holds no trace files at all.
+// notes are empty exactly when the directory was read losslessly. A file
+// naming a rank at or past twice the number of trace files is ignored
+// with a note, so the set spans at most twice as many ranks as there are
+// files. It fails only when the directory holds no usable trace files.
 func ReadDirSalvage(dir string, reg *obs.Registry) (*Set, []string, error) {
 	return ReadDirSalvageTraced(dir, reg, nil)
 }
@@ -172,7 +174,16 @@ func readDirSalvage(ctx context.Context, dir string, workers int, reg *obs.Regis
 	var notes []string
 	byRank := map[int32]*Trace{}
 	maxRank := int32(-1)
+	// The set spans ranks 0 to the largest rank a file names, and each
+	// rank no file fills costs an empty trace and a note. A file name can
+	// claim any rank, so the span is capped by the files present.
+	rankLimit := 2 * len(names)
 	for i, nr := range names {
+		if nr.rank >= rankLimit {
+			notes = append(notes, fmt.Sprintf("%s: rank %d is past twice the %d trace files present; file ignored",
+				nr.name, nr.rank, len(names)))
+			continue
+		}
 		if int32(nr.rank) > maxRank {
 			maxRank = int32(nr.rank)
 		}

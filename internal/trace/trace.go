@@ -322,6 +322,12 @@ func (c *CountingSink) Stats() Stats {
 
 // Merge combines per-rank partial sets (e.g. loaded from separate files)
 // into one Set. Ranks must not repeat across parts.
+//
+// The set spans ranks 0 to the largest rank, one part each. A part's rank
+// comes from an untrusted header, so Merge allocates by the number of
+// parts, not by that rank: n parts fill at most ranks 0..n-1, so a rank
+// past n means a rank at or below n is missing, and the error names the
+// lowest one, as it would for any other gap.
 func Merge(parts ...*Trace) (*Set, error) {
 	maxRank := int32(-1)
 	for _, p := range parts {
@@ -330,18 +336,30 @@ func Merge(parts ...*Trace) (*Set, error) {
 		}
 		maxRank = max(maxRank, p.Rank)
 	}
-	s := &Set{Traces: make([]*Trace, maxRank+1)}
+	slots := make([]*Trace, min(int(maxRank)+1, len(parts)+1))
+	var far map[int32]bool // ranks past the slots, kept to find duplicates
 	for _, p := range parts {
-		if s.Traces[p.Rank] != nil {
+		if int(p.Rank) < len(slots) {
+			if slots[p.Rank] != nil {
+				return nil, fmt.Errorf("trace: duplicate trace for rank %d", p.Rank)
+			}
+			slots[p.Rank] = p
+			continue
+		}
+		if far[p.Rank] {
 			return nil, fmt.Errorf("trace: duplicate trace for rank %d", p.Rank)
 		}
-		s.Traces[p.Rank] = p
+		if far == nil {
+			far = map[int32]bool{}
+		}
+		far[p.Rank] = true
 	}
-	for r, t := range s.Traces {
+	for r, t := range slots {
 		if t == nil {
 			return nil, fmt.Errorf("trace: missing trace for rank %d", r)
 		}
 	}
+	s := &Set{Traces: slots} // every slot filled: the slots span every rank
 	return s, s.Validate()
 }
 

@@ -2,10 +2,12 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -113,6 +115,96 @@ func TestMergeErrors(t *testing.T) {
 	}
 	if _, err := Merge(&Trace{Rank: 0}, &Trace{Rank: -1}); err == nil {
 		t.Error("negative rank beside a valid one must error")
+	}
+}
+
+// TestMergeHugeRank: a part claiming a huge rank makes Merge report the
+// lowest missing rank, or a duplicate, without allocating by that rank.
+func TestMergeHugeRank(t *testing.T) {
+	const huge = math.MaxInt32
+	for _, c := range []struct {
+		parts []*Trace
+		want  string
+	}{
+		{[]*Trace{{Rank: huge}}, "missing trace for rank 0"},
+		{[]*Trace{{Rank: 0}, {Rank: huge}}, "missing trace for rank 1"},
+		{[]*Trace{{Rank: 1}, {Rank: huge}, {Rank: 0}}, "missing trace for rank 2"},
+		{[]*Trace{{Rank: huge}, {Rank: 0}, {Rank: huge}}, "duplicate trace for rank 2147483647"},
+		{[]*Trace{{Rank: 0}, {Rank: 0}, {Rank: huge}}, "duplicate trace for rank 0"},
+	} {
+		var err error
+		allocated := allocatedBytes(func() { _, err = Merge(c.parts...) })
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Merge(ranks %v) = %v, want %q", ranksOf(c.parts), err, c.want)
+		}
+		if allocated > 1<<20 {
+			t.Errorf("Merge(ranks %v) allocated %d bytes", ranksOf(c.parts), allocated)
+		}
+	}
+}
+
+func ranksOf(parts []*Trace) []int32 {
+	var rs []int32
+	for _, p := range parts {
+		rs = append(rs, p.Rank)
+	}
+	return rs
+}
+
+// allocatedBytes returns the heap bytes f allocates.
+func allocatedBytes(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestHugeRankDir: a directory beside whose trace.0.bin sits a stream
+// named for, and claiming, rank 2000000000 — readable, or garbage —
+// makes ReadDir fail and ReadDirSalvage drop that file with a note, with
+// allocation bounded by the files present.
+func TestHugeRankDir(t *testing.T) {
+	const huge = 2000000000
+	rng := rand.New(rand.NewSource(9))
+	good, err := EncodeTrace(&Trace{Rank: 0, Events: sampleEvents(0, 4, rng)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := EncodeTrace(&Trace{Rank: huge, Events: sampleEvents(huge, 4, rng)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{"readable": far, "garbage": []byte("not a trace")} {
+		dir := t.TempDir()
+		for file, b := range map[string][]byte{FileName(0): good, FileName(huge): data} {
+			if err := os.WriteFile(filepath.Join(dir, file), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocated := allocatedBytes(func() { _, err = ReadDir(dir) })
+		if err == nil {
+			t.Errorf("%s: ReadDir accepted a rank %d file beside rank 0 alone", name, huge)
+		}
+		if allocated > 4<<20 {
+			t.Errorf("%s: ReadDir allocated %d bytes", name, allocated)
+		}
+		var set *Set
+		var notes []string
+		allocated = allocatedBytes(func() { set, notes, err = ReadDirSalvage(dir, nil) })
+		if err != nil {
+			t.Fatalf("%s: ReadDirSalvage: %v", name, err)
+		}
+		if allocated > 4<<20 {
+			t.Errorf("%s: ReadDirSalvage allocated %d bytes", name, allocated)
+		}
+		if set.Ranks() != 1 || len(set.Traces[0].Events) != 4 {
+			t.Errorf("%s: salvaged set spans %d ranks", name, set.Ranks())
+		}
+		want := []string{"trace.2000000000.bin: rank 2000000000 is past twice the 2 trace files present; file ignored"}
+		if !reflect.DeepEqual(notes, want) {
+			t.Errorf("%s: notes = %q, want %q", name, notes, want)
+		}
 	}
 }
 
