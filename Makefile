@@ -80,9 +80,13 @@ bench:
 	$(GO) run ./cmd/mcbench -exp bench -json BENCH.json
 
 # One-iteration pass of the same harness plus the go-test benchmarks:
-# proves every timing loop still runs, cheap enough for CI.
+# proves every timing loop still runs, cheap enough for CI. Its
+# one-sample baseline goes to BENCH_TMP, never over the committed
+# BENCH.json.
+BENCH_TMP ?= /tmp/mcchecker-bench-smoke
 bench-smoke:
-	$(GO) run ./cmd/mcbench -exp bench -json BENCH.json -benchtime 1x -amplify 2
+	mkdir -p $(BENCH_TMP)
+	$(GO) run ./cmd/mcbench -exp bench -json $(BENCH_TMP)/BENCH.json -benchtime 1x -amplify 2
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 
 # Causal-timeline smoke: run a bug case, analyze its traces recording a
@@ -122,6 +126,7 @@ fuzz:
 	$(GO) test -run NONE -fuzz '^FuzzReadTraceSalvage$$' -fuzztime 30s ./internal/trace
 	$(GO) test -run NONE -fuzz '^FuzzDecodeDifferential$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/trace
 	$(GO) test -run NONE -fuzz '^FuzzRoundTrip$$' -fuzztime 30s ./internal/trace
+	$(GO) test -run NONE -fuzz '^FuzzAnalyzeTrace$$' -fuzztime 30s -fuzzminimizetime 1s ./internal/core
 
 # CI-sized fuzz of the trace codec: every-field event runs must round-trip
 # encode/decode unchanged, corrupt streams must decode to an error or a

@@ -423,8 +423,8 @@ func TestRMAOriginAsLocalAccess(t *testing.T) {
 func TestStridedFootprintPrecision(t *testing.T) {
 	// User type 100 on each origin rank: 4 elements of 8 bytes, stride 16.
 	defType := func(b *testutil.TraceBuilder, rank int32) {
-		b.Add(rank, loc(trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase,
-			TypeMap: stridedMap()}, 1))
+		b.Add(rank, loc(trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase,
+			TypeMap: stridedMap()}}, 1))
 	}
 	stridedPut := func(rank int32, disp uint64, line int32) trace.Event {
 		return loc(trace.Event{Kind: trace.KindPut, Win: 1, Target: 2,

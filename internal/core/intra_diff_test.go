@@ -152,7 +152,7 @@ func denseEpochs(seed uint64) *trace.Set {
 		strided.Segments = append(strided.Segments, memory.Segment{Disp: k * 12, Len: 4})
 	}
 	strided.Extent = 36
-	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase, TypeMap: strided})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase, TypeMap: strided}})
 	// Rank 1 sends first and receives last, so rank 0's receives and
 	// sends match whatever epochs they land in.
 	var sends, recvs int
@@ -303,7 +303,7 @@ func handBuilt() map[string]*trace.Set {
 		strided.Segments = append(strided.Segments, memory.Segment{Disp: k * 16, Len: 8})
 	}
 	strided.Extent = 64
-	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase, TypeMap: strided})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase, TypeMap: strided}})
 	vec := func(kind trace.Kind, origin, disp uint64, line int32) trace.Event {
 		e := ev(kind, 1, origin, disp, line)
 		e.OriginType, e.TargetType = trace.TypeUserBase, trace.TypeUserBase

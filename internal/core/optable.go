@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -135,6 +134,13 @@ func (r *rankOps) linkEpochs(store []Epoch) {
 // is allocated once and each footprint resolved once.
 var ivScratch = sync.Pool{New: func() any { return new([]memory.Interval) }}
 
+// maxRankIntervals bounds one rank's footprint arena (64 MiB of
+// intervals). model.MaxTileWork bounds each footprint, but a trace can
+// repeat operations without end, so the arena needs its own bound; a
+// rank past it fails the extraction. The arena indexes fit an int32
+// with room to spare.
+const maxRankIntervals = 1 << 22
+
 // resolve lays out every entry's footprints. An operation's three
 // footprints resolve independently, each keeping its own error.
 func (r *rankOps) resolve(m *model.Model, t *trace.Trace) error {
@@ -151,8 +157,8 @@ func (r *rankOps) resolve(m *model.Model, t *trace.Trace) error {
 		e.end[sideOrigin] = int32(len(ivs))
 		ivs, errs[sideResult] = m.AppendResultFootprint(ivs, ev)
 		e.end[sideResult] = int32(len(ivs))
-		if len(ivs) > math.MaxInt32 {
-			return fmt.Errorf("core: rank %d: RMA operation footprints exceed %d intervals", r.rank, math.MaxInt32)
+		if len(ivs) > maxRankIntervals {
+			return fmt.Errorf("core: rank %d: RMA operation footprints exceed %d intervals", r.rank, maxRankIntervals)
 		}
 		if errs != [numSides]error{} {
 			r.errs = append(r.errs, errs)

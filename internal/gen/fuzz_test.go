@@ -82,11 +82,16 @@ func FuzzGenerate(f *testing.F) {
 // normalizeEvent maps nil and empty slices to a canonical form, mirroring
 // the codec's own round-trip tests.
 func normalizeEvent(ev trace.Event) trace.Event {
-	if len(ev.TypeMap.Segments) == 0 {
-		ev.TypeMap.Segments = nil
+	if ev.Def == nil {
+		return ev
 	}
-	if len(ev.Members) == 0 {
-		ev.Members = nil
+	d := *ev.Def
+	if len(d.TypeMap.Segments) == 0 {
+		d.TypeMap.Segments = nil
 	}
+	if len(d.Members) == 0 {
+		d.Members = nil
+	}
+	ev.Def = &d
 	return ev
 }

@@ -263,7 +263,7 @@ func (mt *matcher) scopeOf(ev *trace.Event) (class byte, id int32, members []int
 		return 'w', ev.Win, ci.Members, nil
 	case trace.KindCommCreate:
 		// Only the members of the new communicator log this event.
-		return 'n', ev.Comm, ev.Members, nil
+		return 'n', ev.Comm, ev.Payload().Members, nil
 	default:
 		ci, cerr := mt.m.Comm(ev.Comm)
 		if cerr != nil {
@@ -366,8 +366,9 @@ func (mt *matcher) processRecvSide(ev *trace.Event) error {
 
 func (mt *matcher) processPost(ev *trace.Event) error {
 	rk := [2]int32{ev.Rank, ev.Win}
-	mt.openPosts[rk] = append(mt.openPosts[rk], ev.Members)
-	for _, origin := range ev.Members {
+	group := ev.Payload().Members
+	mt.openPosts[rk] = append(mt.openPosts[rk], group)
+	for _, origin := range group {
 		k := [3]int32{ev.Win, ev.Rank, origin}
 		seq := mt.postSeq[k]
 		mt.postSeq[k]++
@@ -384,8 +385,9 @@ func (mt *matcher) processPost(ev *trace.Event) error {
 
 func (mt *matcher) processStart(ev *trace.Event) error {
 	rk := [2]int32{ev.Rank, ev.Win}
-	mt.openStarts[rk] = append(mt.openStarts[rk], ev.Members)
-	for _, target := range ev.Members {
+	group := ev.Payload().Members
+	mt.openStarts[rk] = append(mt.openStarts[rk], group)
+	for _, target := range group {
 		k := [3]int32{ev.Win, ev.Rank, target}
 		seq := mt.startSeq[k]
 		mt.startSeq[k]++

@@ -91,12 +91,22 @@ func (dm DataMap) Tile(base uint64, count int) []Interval {
 
 // AppendTile appends the intervals Tile(base, count) returns to dst and
 // returns the extended slice. The new intervals coalesce with each other
-// only, never with an entry already in dst.
+// only, never with an entry already in dst. A tile that coalesces into
+// one interval is computed in closed form; any other takes
+// TileWork(count) steps.
 func (dm DataMap) AppendTile(dst []Interval, base uint64, count int) []Interval {
 	if count <= 0 || len(dm.Segments) == 0 {
 		return dst
 	}
-	dst = slices.Grow(dst, dm.tileLen(count))
+	n := dm.tileLen(count)
+	if n == 1 {
+		first, last := dm.Segments[0], dm.Segments[len(dm.Segments)-1]
+		return append(dst, Interval{
+			Lo: base + first.Disp,
+			Hi: base + uint64(count-1)*dm.Extent + last.Disp + last.Len,
+		})
+	}
+	dst = slices.Grow(dst, n)
 	first := len(dst)
 	for e := 0; e < count; e++ {
 		origin := base + uint64(e)*dm.Extent
@@ -133,6 +143,18 @@ func (dm DataMap) tileLen(count int) int {
 		n -= count - 1 // each element's last interval runs into the next one's first
 	}
 	return n
+}
+
+// TileWork returns the steps AppendTile(dst, base, count) takes whatever
+// base is: none for an empty tile, one for a tile that coalesces into a
+// single interval, and one per segment of every element otherwise. It
+// bounds the intervals AppendTile appends too.
+func (dm DataMap) TileWork(count int) int {
+	switch n := dm.tileLen(count); n {
+	case 0, 1:
+		return n
+	}
+	return count * len(dm.Segments)
 }
 
 // TileBytes returns Size()*count, the bytes moved by a count-element access.

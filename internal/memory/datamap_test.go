@@ -237,3 +237,66 @@ func TestAppendTileMatchesTile(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// refTile is the element-by-element tiling loop, the reference for
+// AppendTile's closed form.
+func refTile(dm DataMap, base uint64, count int) []Interval {
+	var out []Interval
+	for e := 0; e < count; e++ {
+		origin := base + uint64(e)*dm.Extent
+		for _, s := range dm.Segments {
+			iv := Iv(origin+s.Disp, s.Len)
+			if n := len(out); n > 0 && out[n-1].Hi == iv.Lo {
+				out[n-1].Hi = iv.Hi
+				continue
+			}
+			out = append(out, iv)
+		}
+	}
+	return out
+}
+
+// Property: Tile matches the element-by-element loop, including tiles
+// that coalesce into one interval (computed in closed form) and bases
+// near the top of the address space, where addresses wrap; TileWork is
+// 1 exactly for those single-interval tiles and bounds the intervals of
+// every other.
+func TestTileClosedFormMatchesLoop(t *testing.T) {
+	f := func(segs []uint16, ext uint8, count uint8, high bool) bool {
+		if len(segs) > 5 {
+			segs = segs[:5]
+		}
+		dm := DataMap{}
+		var at uint64
+		for _, s := range segs {
+			at += uint64(s % 3) // gap 0 chains segments into one run
+			n := uint64(s/4) % 8
+			dm.Segments = append(dm.Segments, Segment{Disp: at, Len: n})
+			at += n
+		}
+		dm.Extent = dm.Span() + uint64(ext%3) // 0 extra: elements touch
+		if len(dm.Segments) > 0 {
+			dm.Extent += dm.Segments[0].Disp
+		}
+		n := int(count % 9)
+		base := uint64(1000)
+		if high {
+			base = ^uint64(0) - 40
+		}
+		got, want := dm.Tile(base, n), refTile(dm, base, n)
+		work := dm.TileWork(n)
+		return slices.Equal(got, want) && (len(want) == 1) == (work == 1) && len(want) <= work
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Error(err)
+	}
+	// A contiguous run of 2^16 segments tiled 2^31 times is one interval,
+	// computed without visiting an element.
+	big := DataMap{Extent: 1 << 16}
+	for i := uint64(0); i < 1<<16; i++ {
+		big.Segments = append(big.Segments, Segment{Disp: i, Len: 1})
+	}
+	if got := big.Tile(0, 1<<31); !slices.Equal(got, []Interval{Iv(0, 1<<47)}) || big.TileWork(1<<31) != 1 {
+		t.Fatalf("Tile of a contiguous run = %v, work %d", got, big.TileWork(1<<31))
+	}
+}

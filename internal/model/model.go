@@ -141,12 +141,13 @@ func BuildWorkersTraced(set *trace.Set, workers int, tr *tracing.Recorder) (*Mod
 					return nil, err
 				}
 			case trace.KindTypeCreate:
-				key := typeKey{rank: ev.Rank, id: ev.TypeID}
+				d := ev.Payload()
+				key := typeKey{rank: ev.Rank, id: d.TypeID}
 				if _, dup := m.types[key]; dup {
 					return nil, fmt.Errorf("model: rank %d redefines datatype %d at %s",
-						ev.Rank, ev.TypeID, ev.Loc())
+						ev.Rank, d.TypeID, ev.Loc())
 				}
-				m.types[key] = ev.TypeMap
+				m.types[key] = d.TypeMap
 			}
 		}
 	}
@@ -163,18 +164,14 @@ func BuildWorkersTraced(set *trace.Set, workers int, tr *tracing.Recorder) (*Mod
 }
 
 func (m *Model) addComm(ev *trace.Event) error {
+	members := ev.Payload().Members
 	if existing, ok := m.Comms[ev.Comm]; ok {
-		if len(existing.Members) != len(ev.Members) {
+		if !slices.Equal(existing.Members, members) {
 			return fmt.Errorf("model: communicator %d defined with conflicting memberships", ev.Comm)
-		}
-		for i := range existing.Members {
-			if existing.Members[i] != ev.Members[i] {
-				return fmt.Errorf("model: communicator %d defined with conflicting memberships", ev.Comm)
-			}
 		}
 		return nil
 	}
-	m.Comms[ev.Comm] = &CommInfo{ID: ev.Comm, Members: append([]int32(nil), ev.Members...)}
+	m.Comms[ev.Comm] = &CommInfo{ID: ev.Comm, Members: append([]int32(nil), members...)}
 	return nil
 }
 
@@ -190,7 +187,8 @@ func (m *Model) addWin(ev *trace.Event) error {
 	if _, dup := wi.Locals[ev.Rank]; dup {
 		return fmt.Errorf("model: rank %d defines window %d twice", ev.Rank, ev.Win)
 	}
-	wi.Locals[ev.Rank] = WinLocal{Base: ev.WinBase, Size: ev.WinSize, DispUnit: ev.DispUnit}
+	d := ev.Payload()
+	wi.Locals[ev.Rank] = WinLocal{Base: d.WinBase, Size: d.WinSize, DispUnit: d.DispUnit}
 	return nil
 }
 
@@ -304,7 +302,8 @@ func (m *Model) AppendTargetFootprint(dst []memory.Interval, ev *trace.Event) ([
 		return dst, 0, err
 	}
 	base := local.Base + ev.TargetDisp*uint64(local.DispUnit)
-	return dm.AppendTile(dst, base, int(ev.TargetCount)), tw, nil
+	dst, err = appendTile(dst, dm, base, ev.TargetCount)
+	return dst, tw, err
 }
 
 // OriginFootprint computes the local-buffer bytes an RMA operation (or a
@@ -324,7 +323,7 @@ func (m *Model) AppendOriginFootprint(dst []memory.Interval, ev *trace.Event) ([
 	if err != nil {
 		return dst, err
 	}
-	return dm.AppendTile(dst, ev.OriginAddr, int(ev.OriginCount)), nil
+	return appendTile(dst, dm, ev.OriginAddr, ev.OriginCount)
 }
 
 // ResultFootprint computes the local result-buffer bytes a fetching atomic
@@ -349,7 +348,27 @@ func (m *Model) AppendResultFootprint(dst []memory.Interval, ev *trace.Event) ([
 	if err != nil {
 		return dst, err
 	}
-	return dm.AppendTile(dst, ev.ResultAddr, int(ev.ResultCount)), nil
+	return appendTile(dst, dm, ev.ResultAddr, ev.ResultCount)
+}
+
+// MaxTileWork bounds the work of tiling one footprint, in the steps
+// memory.DataMap.TileWork counts, which also bound the intervals the
+// footprint holds (at most 16 MiB of them). Counts and datatypes come
+// straight from the trace: a strided type with a count near 2^31 would
+// ask for about 2^31 intervals. Tiles that coalesce into one interval
+// take one step whatever their count. Real programs stay far below the
+// bound: no bundled application or workload needs more than a few dozen
+// steps.
+const MaxTileWork = 1 << 20
+
+// appendTile tiles count elements of dm at base onto dst, or fails,
+// leaving dst unchanged, when that takes more than MaxTileWork steps.
+func appendTile(dst []memory.Interval, dm memory.DataMap, base uint64, count int32) ([]memory.Interval, error) {
+	if work := dm.TileWork(int(count)); work > MaxTileWork {
+		return dst, fmt.Errorf("model: tiling %d elements of a %d-segment datatype takes %d steps, over the limit of %d",
+			count, len(dm.Segments), work, MaxTileWork)
+	}
+	return dm.AppendTile(dst, base, int(count)), nil
 }
 
 // AccessFootprint computes the bytes a local load/store touches.

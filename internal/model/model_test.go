@@ -1,7 +1,9 @@
 package model
 
 import (
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/memory"
@@ -13,11 +15,11 @@ func TestBuildRegistries(t *testing.T) {
 	b := testutil.NewTraceBuilder(3)
 	// Rank 0 creates a derived type; all ranks create window 1; ranks 1,2
 	// form a sub-communicator 5.
-	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase,
-		TypeMap: memory.DataMap{Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}}, Extent: 16}})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase,
+		TypeMap: memory.DataMap{Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}}, Extent: 16}}})
 	b.WinCreate(1, 0x1000, 64)
-	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Members: []int32{1, 2}})
-	b.Add(2, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Members: []int32{1, 2}})
+	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Def: &trace.Def{Members: []int32{1, 2}}})
+	b.Add(2, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Def: &trace.Def{Members: []int32{1, 2}}})
 
 	m, err := Build(b.Set())
 	if err != nil {
@@ -81,22 +83,22 @@ func TestBuildRegistries(t *testing.T) {
 
 func TestBuildRejectsConflicts(t *testing.T) {
 	b := testutil.NewTraceBuilder(2)
-	b.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Members: []int32{0, 1}})
-	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Members: []int32{1, 0}})
+	b.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Def: &trace.Def{Members: []int32{0, 1}}})
+	b.Add(1, trace.Event{Kind: trace.KindCommCreate, Comm: 5, Def: &trace.Def{Members: []int32{1, 0}}})
 	if _, err := Build(b.Set()); err == nil {
 		t.Error("conflicting comm membership must error")
 	}
 
 	b = testutil.NewTraceBuilder(1)
-	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase, TypeMap: memory.Contig(4)})
-	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, TypeID: trace.TypeUserBase, TypeMap: memory.Contig(8)})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase, TypeMap: memory.Contig(4)}})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase, TypeMap: memory.Contig(8)}})
 	if _, err := Build(b.Set()); err == nil {
 		t.Error("datatype redefinition must error")
 	}
 
 	b = testutil.NewTraceBuilder(1)
-	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1, Comm: 0, WinBase: 0, WinSize: 8, DispUnit: 1})
-	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1, Comm: 0, WinBase: 64, WinSize: 8, DispUnit: 1})
+	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1, Comm: 0, Def: &trace.Def{WinBase: 0, WinSize: 8, DispUnit: 1}})
+	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1, Comm: 0, Def: &trace.Def{WinBase: 64, WinSize: 8, DispUnit: 1}})
 	if _, err := Build(b.Set()); err == nil {
 		t.Error("duplicate window definition must error")
 	}
@@ -208,5 +210,56 @@ func TestTargetFootprintErrors(t *testing.T) {
 	}
 	if _, err := m.TargetFootprint(m.Set.Get(bar)); err == nil {
 		t.Error("non-RMA event must error")
+	}
+}
+
+// TestFootprintTilingBounded: counts come straight from the trace, so a
+// strided footprint with a count near 2^31 fails to resolve instead of
+// asking for 2^31 intervals, while a type whose tile coalesces into one
+// interval resolves at any count in a single step.
+func TestFootprintTilingBounded(t *testing.T) {
+	run := memory.DataMap{Extent: 1 << 16} // 2^16 one-byte segments, back to back
+	for i := uint64(0); i < 1<<16; i++ {
+		run.Segments = append(run.Segments, memory.Segment{Disp: i, Len: 1})
+	}
+	b := testutil.NewTraceBuilder(2)
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase,
+		TypeMap: memory.DataMap{Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}}, Extent: 16}}})
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate, Def: &trace.Def{TypeID: trace.TypeUserBase + 1, TypeMap: run}})
+	b.WinCreate(1, 0x1000, 64)
+	put := trace.Event{Kind: trace.KindPut, Win: 1, Target: 1,
+		OriginAddr: 0x8000, OriginType: trace.TypeUserBase + 1, OriginCount: math.MaxInt32,
+		TargetType: trace.TypeUserBase, TargetCount: math.MaxInt32}
+	m, err := Build(b.Set())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.TargetFootprint(&put); err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Errorf("strided footprint of 2^31 elements: err = %v, want the tiling limit", err)
+	}
+	fp, err := m.OriginFootprint(&put)
+	want := []memory.Interval{memory.Iv(0x8000, math.MaxInt32<<16)}
+	if err != nil || !slices.Equal(fp.Intervals, want) {
+		t.Errorf("coalescing footprint = %v, %v; want %v", fp.Intervals, err, want)
+	}
+}
+
+// TestBuildZeroPayloadDefinitions: definition events without a payload,
+// as a hand-built or uploaded trace may carry, are read as zero payloads
+// rather than dereferenced.
+func TestBuildZeroPayloadDefinitions(t *testing.T) {
+	b := testutil.NewTraceBuilder(1)
+	b.Add(0, trace.Event{Kind: trace.KindTypeCreate})
+	b.Add(0, trace.Event{Kind: trace.KindCommCreate, Comm: 3})
+	b.Add(0, trace.Event{Kind: trace.KindWinCreate, Win: 1})
+	m, err := Build(b.Set())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, err := m.Comm(3); err != nil || c.Size() != 0 {
+		t.Errorf("comm 3 = %v, %v; want an empty communicator", c, err)
+	}
+	if wi, err := m.Win(1); err != nil || wi.Locals[0] != (WinLocal{}) {
+		t.Errorf("window 1 = %+v, %v; want a zero local buffer", wi, err)
 	}
 }

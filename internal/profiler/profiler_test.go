@@ -188,6 +188,34 @@ func TestMemorySinkProfileBytes(t *testing.T) {
 	}
 }
 
+// TestEventLayout pins the compact event: no wider than 152 bytes on
+// 64-bit targets, and only definition events carry a payload, so the
+// loads and stores that dominate every trace hold a nil Def.
+func TestEventLayout(t *testing.T) {
+	if size := unsafe.Sizeof(trace.Event{}); unsafe.Sizeof(uintptr(0)) == 8 && size > 152 {
+		t.Errorf("sizeof(trace.Event) = %d B, want <= 152", size)
+	}
+	set := runEmulateLike(t, nil)
+	accesses := 0
+	for _, tr := range set.Traces {
+		for i := range tr.Events {
+			ev := &tr.Events[i]
+			switch {
+			case ev.Kind.IsLocalAccess() || ev.Kind.IsRMAComm():
+				accesses++
+				if ev.Def != nil {
+					t.Errorf("%v carries a payload %+v", ev, *ev.Def)
+				}
+			case ev.Kind == trace.KindWinCreate && ev.Def == nil:
+				t.Errorf("%v lost its window payload", ev)
+			}
+		}
+	}
+	if accesses == 0 {
+		t.Fatal("profiled run logged no accesses")
+	}
+}
+
 func TestObsCountersMatchTrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	sink := trace.NewMemorySink()

@@ -223,8 +223,9 @@ func (c *Checker) track(ev *trace.Event) {
 	r := ev.Rank
 	switch ev.Kind {
 	case trace.KindCommCreate:
-		c.commSize[ev.Comm] = len(ev.Members)
-		c.commMembers[ev.Comm] = append([]int32(nil), ev.Members...)
+		members := ev.Payload().Members
+		c.commSize[ev.Comm] = len(members)
+		c.commMembers[ev.Comm] = append([]int32(nil), members...)
 		c.defs[r] = append(c.defs[r], *ev)
 	case trace.KindTypeCreate:
 		c.defs[r] = append(c.defs[r], *ev)

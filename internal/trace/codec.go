@@ -141,20 +141,21 @@ func (w *Writer) Emit(ev Event) {
 	b = binary.AppendVarint(b, int64(ev.Assert))
 	b = binary.AppendUvarint(b, ev.Addr)
 	b = binary.AppendUvarint(b, ev.Size)
-	b = binary.AppendVarint(b, int64(ev.TypeID))
-	b = binary.AppendUvarint(b, uint64(len(ev.TypeMap.Segments)))
-	for _, s := range ev.TypeMap.Segments {
+	d := ev.Payload()
+	b = binary.AppendVarint(b, int64(d.TypeID))
+	b = binary.AppendUvarint(b, uint64(len(d.TypeMap.Segments)))
+	for _, s := range d.TypeMap.Segments {
 		b = binary.AppendUvarint(b, s.Disp)
 		b = binary.AppendUvarint(b, s.Len)
 	}
-	b = binary.AppendUvarint(b, ev.TypeMap.Extent)
-	b = binary.AppendUvarint(b, uint64(len(ev.Members)))
-	for _, m := range ev.Members {
+	b = binary.AppendUvarint(b, d.TypeMap.Extent)
+	b = binary.AppendUvarint(b, uint64(len(d.Members)))
+	for _, m := range d.Members {
 		b = binary.AppendVarint(b, int64(m))
 	}
-	b = binary.AppendUvarint(b, ev.WinBase)
-	b = binary.AppendUvarint(b, ev.WinSize)
-	b = binary.AppendUvarint(b, uint64(ev.DispUnit))
+	b = binary.AppendUvarint(b, d.WinBase)
+	b = binary.AppendUvarint(b, d.WinSize)
+	b = binary.AppendUvarint(b, uint64(d.DispUnit))
 	w.buf = b
 	_, w.err = w.w.Write(b)
 }
@@ -545,31 +546,40 @@ func (rd *reader) readEvent(ev *Event) {
 	ev.Assert = rd.int32(rd.uvarint())
 	ev.Addr = rd.uvarint()
 	ev.Size = rd.uvarint()
-	ev.TypeID = rd.int32(rd.uvarint())
+	rd.readDef(ev)
+}
+
+// readDef decodes an event record's definition payload and attaches it
+// to ev only when some field is nonzero, so loads, stores and RMA
+// operations, which carry none, cost no allocation.
+func (rd *reader) readDef(ev *Event) {
+	var d Def
+	d.TypeID = rd.int32(rd.uvarint())
 
 	if nseg := rd.uvarint(); nseg > 1<<16 {
 		rd.fail(fmt.Errorf("datatype with %d segments too large", nseg))
 	} else if nseg > 0 && rd.err == nil {
-		ev.TypeMap.Segments = make([]memory.Segment, nseg)
-		for i := range ev.TypeMap.Segments {
+		d.TypeMap.Segments = make([]memory.Segment, nseg)
+		for i := range d.TypeMap.Segments {
 			rd.fill(2 * maxVarint)
-			ev.TypeMap.Segments[i] = memory.Segment{Disp: rd.uvarint(), Len: rd.uvarint()}
+			d.TypeMap.Segments[i] = memory.Segment{Disp: rd.uvarint(), Len: rd.uvarint()}
 		}
 	}
 	rd.fill(2 * maxVarint)
-	ev.TypeMap.Extent = rd.uvarint()
+	d.TypeMap.Extent = rd.uvarint()
 
 	if nmem := rd.uvarint(); nmem > 1<<20 {
 		rd.fail(fmt.Errorf("communicator with %d members too large", nmem))
 	} else if nmem > 0 && rd.err == nil {
-		ev.Members = make([]int32, nmem)
-		for i := range ev.Members {
+		d.Members = make([]int32, nmem)
+		for i := range d.Members {
 			rd.fill(maxVarint)
-			ev.Members[i] = rd.int32(rd.uvarint())
+			d.Members[i] = rd.int32(rd.uvarint())
 		}
 	}
 	rd.fill(3 * maxVarint)
-	ev.WinBase = rd.uvarint()
-	ev.WinSize = rd.uvarint()
-	ev.DispUnit = uint32(rd.uvarint())
+	d.WinBase = rd.uvarint()
+	d.WinSize = rd.uvarint()
+	d.DispUnit = uint32(rd.uvarint())
+	ev.Def = NewDef(d)
 }

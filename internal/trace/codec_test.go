@@ -29,19 +29,19 @@ func sampleEvents(rank int32, n int, rng *rand.Rand) []Event {
 			Assert: int32(rng.Intn(4)), Addr: rng.Uint64() >> 20, Size: uint64(rng.Intn(64)),
 		}
 		if k == KindTypeCreate {
-			ev.TypeID = TypeUserBase + int32(rng.Intn(10))
-			ev.TypeMap = memory.DataMap{
-				Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}},
-				Extent:   16,
+			ev.Def = &Def{
+				TypeID: TypeUserBase + int32(rng.Intn(10)),
+				TypeMap: memory.DataMap{
+					Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}},
+					Extent:   16,
+				},
 			}
 		}
 		if k == KindCommCreate {
-			ev.Members = []int32{0, 2, 5}
+			ev.Def = &Def{Members: []int32{0, 2, 5}}
 		}
 		if k == KindWinCreate {
-			ev.WinBase = 0x10000
-			ev.WinSize = 8192
-			ev.DispUnit = 8
+			ev.Def = &Def{WinBase: 0x10000, WinSize: 8192, DispUnit: 8}
 		}
 		evs[i] = ev
 	}
@@ -80,14 +80,21 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// normalize maps nil and empty slices to a canonical form for comparison.
+// normalize maps a zero payload to nil and nil and empty slices to a
+// canonical form for comparison, copying rather than editing the payload.
 func normalize(ev Event) Event {
-	if len(ev.TypeMap.Segments) == 0 {
-		ev.TypeMap.Segments = nil
+	if ev.Def.isZero() {
+		ev.Def = nil
+		return ev
 	}
-	if len(ev.Members) == 0 {
-		ev.Members = nil
+	d := *ev.Def
+	if len(d.TypeMap.Segments) == 0 {
+		d.TypeMap.Segments = nil
 	}
+	if len(d.Members) == 0 {
+		d.Members = nil
+	}
+	ev.Def = &d
 	return ev
 }
 
@@ -164,8 +171,10 @@ func TestWriterEmitDoesNotAllocate(t *testing.T) {
 	}
 	ev := goldenSet().Traces[0].Events[5] // every scalar field set, strings shared
 	ev.Rank, ev.Seq = 4, 0
-	ev.TypeMap = memory.DataMap{Segments: []memory.Segment{{Disp: 1, Len: 2}}, Extent: 3}
-	ev.Members = []int32{0, -1, 7}
+	ev.Def = &Def{
+		TypeMap: memory.DataMap{Segments: []memory.Segment{{Disp: 1, Len: 2}}, Extent: 3},
+		Members: []int32{0, -1, 7},
+	}
 	w.Emit(ev)
 	if allocs := testing.AllocsPerRun(1000, func() {
 		ev.Seq++

@@ -248,7 +248,8 @@ func (rd *oracleReader) readEvent(rank int32, seq int64) (Event, error) {
 	rd.varint32(&ev.Assert, &err)
 	rd.uvarint64(&ev.Addr, &err)
 	rd.uvarint64(&ev.Size, &err)
-	rd.varint32(&ev.TypeID, &err)
+	var d Def
+	rd.varint32(&d.TypeID, &err)
 	if err != nil {
 		return ev, err
 	}
@@ -261,13 +262,13 @@ func (rd *oracleReader) readEvent(rank int32, seq int64) (Event, error) {
 		return ev, fmt.Errorf("datatype with %d segments too large", nseg)
 	}
 	if nseg > 0 {
-		ev.TypeMap.Segments = make([]memory.Segment, nseg)
-		for i := range ev.TypeMap.Segments {
-			rd.uvarint64(&ev.TypeMap.Segments[i].Disp, &err)
-			rd.uvarint64(&ev.TypeMap.Segments[i].Len, &err)
+		d.TypeMap.Segments = make([]memory.Segment, nseg)
+		for i := range d.TypeMap.Segments {
+			rd.uvarint64(&d.TypeMap.Segments[i].Disp, &err)
+			rd.uvarint64(&d.TypeMap.Segments[i].Len, &err)
 		}
 	}
-	rd.uvarint64(&ev.TypeMap.Extent, &err)
+	rd.uvarint64(&d.TypeMap.Extent, &err)
 	if err != nil {
 		return ev, err
 	}
@@ -280,16 +281,17 @@ func (rd *oracleReader) readEvent(rank int32, seq int64) (Event, error) {
 		return ev, fmt.Errorf("communicator with %d members too large", nmem)
 	}
 	if nmem > 0 {
-		ev.Members = make([]int32, nmem)
-		for i := range ev.Members {
-			rd.varint32(&ev.Members[i], &err)
+		d.Members = make([]int32, nmem)
+		for i := range d.Members {
+			rd.varint32(&d.Members[i], &err)
 		}
 	}
-	rd.uvarint64(&ev.WinBase, &err)
-	rd.uvarint64(&ev.WinSize, &err)
+	rd.uvarint64(&d.WinBase, &err)
+	rd.uvarint64(&d.WinSize, &err)
 	var unit uint64
 	rd.uvarint64(&unit, &err)
-	ev.DispUnit = uint32(unit)
+	d.DispUnit = uint32(unit)
+	ev.Def = NewDef(d)
 	return ev, err
 }
 
@@ -399,8 +401,8 @@ func TestDecodeDifferentialLargeRecords(t *testing.T) {
 	}
 	big := &Trace{Rank: 1, Events: []Event{
 		{Kind: KindStore, File: strings.Repeat("x", decodeWindow+100), Func: "f"},
-		{Kind: KindTypeCreate, TypeID: TypeUserBase, TypeMap: memory.DataMap{Segments: segs, Extent: 1 << 50}},
-		{Kind: KindCommCreate, Members: members},
+		{Kind: KindTypeCreate, Def: &Def{TypeID: TypeUserBase, TypeMap: memory.DataMap{Segments: segs, Extent: 1 << 50}}},
+		{Kind: KindCommCreate, Def: &Def{Members: members}},
 		{Kind: KindBarrier, File: strings.Repeat("y", 1<<20)},
 	}}
 	data, err := EncodeTrace(big)

@@ -239,15 +239,28 @@ func (op AccOp) String() string {
 // Event is one logged runtime event. Field use depends on Kind; unused
 // fields are zero. Ranks stored in Peer and Target are relative to Comm,
 // exactly as passed by the application.
+//
+// Every layer holds events by the thousand, so the layout is compact:
+// fields are grouped by width, leaving no padding, and the pointer-holding
+// ones come first, so the collector scans only an event's first 48 bytes.
+// The payloads of the few definition events sit behind the embedded *Def;
+// loads and stores, nearly every event of a trace, carry none.
 type Event struct {
-	Kind Kind
-	Rank int32 // world rank of the logging process
-	Seq  int64 // per-rank sequence number, dense from 0
+	Kind  Kind
+	Lock  LockType // Win_lock mode
+	AccOp AccOp    // reduction operation of accumulate-family calls
+	Rank  int32    // world rank of the logging process
 
 	// Source location of the call or access in the application.
 	File string
-	Line int32
 	Func string // routine containing the call site
+
+	// Definition payload (Type_create, Comm_create, Win_create, Win_post,
+	// Win_start): non-nil exactly when some payload field is nonzero.
+	// Read it through Payload, which is nil-safe.
+	*Def
+
+	Line int32
 
 	Comm int32 // communicator id (0 = world) for p2p, collectives, comm/win create
 	Peer int32 // dest (send), source (recv), root (rooted collectives)
@@ -257,34 +270,68 @@ type Event struct {
 	// One-sided fields.
 	Win         int32 // window id
 	Target      int32 // comm-relative target rank (RMA comm, lock/unlock)
-	Lock        LockType
-	AccOp       AccOp
-	OriginAddr  uint64 // simulated address of origin buffer
-	OriginType  int32  // datatype id of origin elements
+	OriginType  int32 // datatype id of origin elements
 	OriginCount int32
-	TargetDisp  uint64 // displacement into target window, in disp units
 	TargetType  int32
 	TargetCount int32
 	Assert      int32 // fence assertion (unused by analysis; logged for fidelity)
-
 	// Result buffer of fetching atomics (Get_accumulate, Fetch_and_op,
 	// Compare_and_swap): written with the target's prior value when the
 	// operation completes.
-	ResultAddr  uint64
 	ResultType  int32
 	ResultCount int32
+
+	Seq        int64  // per-rank sequence number, dense from 0
+	OriginAddr uint64 // simulated address of origin buffer
+	TargetDisp uint64 // displacement into target window, in disp units
+	ResultAddr uint64
 
 	// Local access fields.
 	Addr uint64
 	Size uint64
+}
 
-	// Payloads for definition events.
+// Def holds the payloads of definition events.
+type Def struct {
 	TypeID   int32          // KindTypeCreate: id assigned to the new datatype
+	DispUnit uint32         // KindWinCreate
 	TypeMap  memory.DataMap // KindTypeCreate
-	Members  []int32        // KindCommCreate: world ranks of the new comm, in rank order
+	Members  []int32        // KindCommCreate: world ranks of the new comm, in rank order; KindWinPost/Start: the group
 	WinBase  uint64         // KindWinCreate: local window base address
 	WinSize  uint64         // KindWinCreate: local window size in bytes
-	DispUnit uint32         // KindWinCreate
+}
+
+// zeroDef is what Payload returns for an event without a payload. It is
+// shared, so readers must not modify what Payload returns.
+var zeroDef Def
+
+// Payload returns the event's definition payload, or a zero payload when
+// it has none. Readers use it rather than the promoted fields, which
+// dereference a nil *Def on events without a payload.
+func (e *Event) Payload() *Def {
+	if e.Def == nil {
+		return &zeroDef
+	}
+	return e.Def
+}
+
+// NewDef returns d as an event's payload: a copy of d, or nil when d
+// carries no payload, which keeps an event's Def non-nil exactly when
+// some payload field is nonzero.
+func NewDef(d Def) *Def {
+	if d.isZero() {
+		return nil
+	}
+	p := new(Def)
+	*p = d
+	return p
+}
+
+// isZero reports whether d carries no payload; a nil d carries none.
+func (d *Def) isZero() bool {
+	return d == nil || d.TypeID == 0 && d.DispUnit == 0 &&
+		len(d.TypeMap.Segments) == 0 && d.TypeMap.Extent == 0 &&
+		len(d.Members) == 0 && d.WinBase == 0 && d.WinSize == 0
 }
 
 // Loc returns a compact "file:line" for diagnostics, using only the base
@@ -326,13 +373,15 @@ func (e *Event) String() string {
 			e.Rank, e.Seq, e.Kind, e.Comm, e.Peer, e.Tag, e.Loc())
 	case e.Kind == KindCommCreate:
 		return fmt.Sprintf("P%d/%d %s comm=%d members=%v @%s",
-			e.Rank, e.Seq, e.Kind, e.Comm, e.Members, e.Loc())
+			e.Rank, e.Seq, e.Kind, e.Comm, e.Payload().Members, e.Loc())
 	case e.Kind == KindTypeCreate:
+		d := e.Payload()
 		return fmt.Sprintf("P%d/%d %s type=%d map=%s @%s",
-			e.Rank, e.Seq, e.Kind, e.TypeID, e.TypeMap.String(), e.Loc())
+			e.Rank, e.Seq, e.Kind, d.TypeID, d.TypeMap.String(), e.Loc())
 	case e.Kind == KindWinCreate:
+		d := e.Payload()
 		return fmt.Sprintf("P%d/%d %s win=%d comm=%d base=0x%x size=%d unit=%d @%s",
-			e.Rank, e.Seq, e.Kind, e.Win, e.Comm, e.WinBase, e.WinSize, e.DispUnit, e.Loc())
+			e.Rank, e.Seq, e.Kind, e.Win, e.Comm, d.WinBase, d.WinSize, d.DispUnit, e.Loc())
 	default:
 		return fmt.Sprintf("P%d/%d %s comm=%d @%s", e.Rank, e.Seq, e.Kind, e.Comm, e.Loc())
 	}

@@ -204,16 +204,18 @@ func (r *fieldReader) event(rank int32, seq int64, strs []string) Event {
 		TargetDisp: r.u64(), TargetType: r.i32(), TargetCount: r.i32(),
 		Assert:     r.i32(),
 		ResultAddr: r.u64(), ResultType: r.i32(), ResultCount: r.i32(),
-		Addr: r.u64(), Size: r.u64(), TypeID: r.i32(),
+		Addr: r.u64(), Size: r.u64(),
 	}
+	d := Def{TypeID: r.i32()}
 	for n := r.u8() % 4; n > 0; n-- {
-		ev.TypeMap.Segments = append(ev.TypeMap.Segments, memory.Segment{Disp: r.u64(), Len: r.u64()})
+		d.TypeMap.Segments = append(d.TypeMap.Segments, memory.Segment{Disp: r.u64(), Len: r.u64()})
 	}
-	ev.TypeMap.Extent = r.u64()
+	d.TypeMap.Extent = r.u64()
 	for n := r.u8() % 4; n > 0; n-- {
-		ev.Members = append(ev.Members, r.i32())
+		d.Members = append(d.Members, r.i32())
 	}
-	ev.WinBase, ev.WinSize, ev.DispUnit = r.u64(), r.u64(), uint32(r.next(4))
+	d.WinBase, d.WinSize, d.DispUnit = r.u64(), r.u64(), uint32(r.next(4))
+	ev.Def = NewDef(d) // nil for a zero payload, as the decoder produces
 	return ev
 }
 

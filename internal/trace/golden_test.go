@@ -22,7 +22,7 @@ func goldenSet() *Set {
 	s := NewSet(2)
 	evs := []Event{
 		{Kind: KindWinCreate, File: "/src/app.go", Line: 10, Func: "main.main",
-			Comm: 0, Win: 1, WinBase: 0x10000, WinSize: 8192, DispUnit: 8},
+			Comm: 0, Win: 1, Def: &Def{WinBase: 0x10000, WinSize: 8192, DispUnit: 8}},
 		{Kind: KindStore, File: "/src/app.go", Line: 11, Func: "main.main",
 			Addr: 0x10008, Size: 8},
 		{Kind: KindLoad, File: "", Line: 0, Func: "",
@@ -38,19 +38,20 @@ func goldenSet() *Set {
 			TargetDisp: math.MaxUint64, TargetType: TypeUserBase + 3, TargetCount: -1,
 			ResultAddr: 0xdeadbeef, ResultType: TypeInt64, ResultCount: 2},
 		{Kind: KindTypeCreate, File: "/src/types.go", Line: 5, Func: "types.build",
-			TypeID: TypeUserBase + 3,
-			TypeMap: memory.DataMap{
-				Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}, {Disp: math.MaxUint64 >> 1, Len: 1}},
-				Extent:   1 << 40,
-			}},
+			Def: &Def{
+				TypeID: TypeUserBase + 3,
+				TypeMap: memory.DataMap{
+					Segments: []memory.Segment{{Disp: 0, Len: 4}, {Disp: 12, Len: 4}, {Disp: math.MaxUint64 >> 1, Len: 1}},
+					Extent:   1 << 40,
+				}}},
 		{Kind: KindCommCreate, File: "/src/types.go", Line: 6, Func: "",
-			Comm: 2, Members: []int32{0, 2, 5, -1, math.MaxInt32}},
+			Comm: 2, Def: &Def{Members: []int32{0, 2, 5, -1, math.MaxInt32}}},
 		{Kind: KindWinFence, File: "/src/app.go", Line: 12, Func: "main.main",
 			Win: 1, Assert: -4},
 		{Kind: KindWinLock, File: "/src/new.go", Line: 1, Func: "new.fn",
 			Win: 1, Target: 2, Lock: LockShared, Assert: math.MinInt32,
-			TypeID: -1, TypeMap: memory.DataMap{Extent: 3},
-			DispUnit: math.MaxUint32},
+			Def: &Def{TypeID: -1, TypeMap: memory.DataMap{Extent: 3},
+				DispUnit: math.MaxUint32}},
 	}
 	for i := range evs {
 		evs[i].Rank, evs[i].Seq = 0, int64(i)

@@ -69,6 +69,7 @@ func WriteJSONL(w io.Writer, s *Set) error {
 	for _, t := range s.Traces {
 		for i := range t.Events {
 			ev := &t.Events[i]
+			d := ev.Payload()
 			j := eventJSONL{
 				Kind: ev.Kind.String(), Rank: ev.Rank, Seq: ev.Seq,
 				File: ev.File, Line: ev.Line, Func: ev.Func,
@@ -78,8 +79,8 @@ func WriteJSONL(w io.Writer, s *Set) error {
 				TargetDisp: ev.TargetDisp, TargetType: ev.TargetType, TargetCount: ev.TargetCount,
 				ResultAddr: ev.ResultAddr, ResultType: ev.ResultType, ResultCount: ev.ResultCount,
 				Assert: ev.Assert, Addr: ev.Addr, Size: ev.Size,
-				TypeID: ev.TypeID, Members: ev.Members,
-				WinBase: ev.WinBase, WinSize: ev.WinSize, DispUnit: ev.DispUnit,
+				TypeID: d.TypeID, Members: d.Members,
+				WinBase: d.WinBase, WinSize: d.WinSize, DispUnit: d.DispUnit,
 			}
 			if ev.Lock != LockNone {
 				j.Lock = ev.Lock.String()
@@ -87,11 +88,11 @@ func WriteJSONL(w io.Writer, s *Set) error {
 			if ev.AccOp != OpNone {
 				j.AccOp = ev.AccOp.String()
 			}
-			if len(ev.TypeMap.Segments) > 0 {
-				for _, seg := range ev.TypeMap.Segments {
+			if len(d.TypeMap.Segments) > 0 {
+				for _, seg := range d.TypeMap.Segments {
 					j.TypeMap = append(j.TypeMap, seg.Disp, seg.Len)
 				}
-				j.TypeMap = append(j.TypeMap, ev.TypeMap.Extent)
+				j.TypeMap = append(j.TypeMap, d.TypeMap.Extent)
 			}
 			if err := enc.Encode(&j); err != nil {
 				return err
@@ -106,6 +107,7 @@ func ReadJSONL(r io.Reader) (*Set, error) {
 	dec := json.NewDecoder(bufio.NewReader(r))
 	byRank := map[int32][]Event{}
 	maxRank := int32(-1)
+	lines := 0
 	for {
 		var j eventJSONL
 		if err := dec.Decode(&j); err == io.EOF {
@@ -126,6 +128,8 @@ func ReadJSONL(r io.Reader) (*Set, error) {
 			TargetDisp: j.TargetDisp, TargetType: j.TargetType, TargetCount: j.TargetCount,
 			ResultAddr: j.ResultAddr, ResultType: j.ResultType, ResultCount: j.ResultCount,
 			Assert: j.Assert, Addr: j.Addr, Size: j.Size,
+		}
+		d := Def{
 			TypeID: j.TypeID, Members: j.Members,
 			WinBase: j.WinBase, WinSize: j.WinSize, DispUnit: j.DispUnit,
 		}
@@ -145,15 +149,25 @@ func ReadJSONL(r io.Reader) (*Set, error) {
 				return nil, fmt.Errorf("trace: jsonl: malformed type_map of %d values", n)
 			}
 			for i := 0; i+1 < n; i += 2 {
-				ev.TypeMap.Segments = append(ev.TypeMap.Segments,
+				d.TypeMap.Segments = append(d.TypeMap.Segments,
 					segmentFrom(j.TypeMap[i], j.TypeMap[i+1]))
 			}
-			ev.TypeMap.Extent = j.TypeMap[n-1]
+			d.TypeMap.Extent = j.TypeMap[n-1]
+		}
+		ev.Def = NewDef(d)
+		if ev.Rank < 0 {
+			return nil, fmt.Errorf("trace: jsonl: line %d: negative rank %d", lines+1, ev.Rank)
 		}
 		byRank[ev.Rank] = append(byRank[ev.Rank], ev)
-		if ev.Rank > maxRank {
-			maxRank = ev.Rank
-		}
+		maxRank = max(maxRank, ev.Rank)
+		lines++
+	}
+	// The set spans ranks 0 to the largest rank, and a rank may log no
+	// events. Ranks come from untrusted input, so the set is allocated by
+	// the lines read, not by a rank: a rank at or past twice the number of
+	// events cannot be part of a plausible run.
+	if int64(maxRank) >= 2*int64(lines) {
+		return nil, fmt.Errorf("trace: jsonl: rank %d out of range for %d events", maxRank, lines)
 	}
 	s := NewSet(int(maxRank + 1))
 	for r, evs := range byRank {

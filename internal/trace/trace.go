@@ -234,14 +234,17 @@ func (m *MemorySink) assemble(copyEvents bool) *Set {
 }
 
 // Reset clears the sink for reuse, keeping the per-rank chunks so a
-// recycled sink re-collects a comparable run without reallocating.
-// Any Set previously obtained through TakeSet is invalidated.
+// recycled sink re-collects a comparable run without reallocating. The
+// kept chunks are zeroed, so they pin none of the old run's payloads
+// and strings. Any Set previously obtained through TakeSet is
+// invalidated.
 func (m *MemorySink) Reset() {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	for _, rs := range m.byRank {
 		rs.mu.Lock()
 		for i := range rs.chunks {
+			clear(rs.chunks[i])
 			rs.chunks[i] = rs.chunks[i][:0]
 		}
 		rs.cur = 0
