@@ -13,30 +13,28 @@ build:
 test:
 	$(GO) test ./...
 
-# Full gate: vet, the test suite under the race detector, the determinism
-# soak, the static-checker golden report, the auto-repair gate, and the
-# shadow/pairwise differential gate.
+# Full gate: gofmt, vet, the test suite under the race detector, the
+# determinism soak, the static-checker golden report, the auto-repair
+# gate, and the detector/oracle differential gate.
 check: soak staticcheck fix-smoke shadow-smoke
+	test -z "$$(gofmt -l .)"
 	$(GO) vet ./...
 	$(GO) test -race ./...
 
-# Differential gate: the shadow cross-process engine must render
-# byte-identical reports to the pairwise reference over every bundled bug
-# case and every injection pattern (at 1 and GOMAXPROCS workers), the
-# differential engine must pass on the benchmark's multi-origin
-# worst-case region (exercised via the experiments suite), and the
-# indexed within-epoch detector must render the all-pairs oracle's
-# reports over the registry, the injection patterns, the permuted hot
-# region and hand-built and random dense epochs.
+# Differential gate: the shadow-memory cross-process detector must render
+# the pairwise test oracle's reports byte for byte over every bundled bug
+# case, every injection pattern and hand-built regions (at 1 and
+# GOMAXPROCS workers) and on the benchmark's multi-origin worst-case
+# region, and the indexed within-epoch detector must render the all-pairs
+# oracle's reports over the registry, the injection patterns, the
+# permuted hot region and hand-built and random dense epochs.
 shadow-smoke:
-	$(GO) test -race -run 'TestShadowPairwiseDifferentialSweep' .
-	$(GO) test -race -run 'TestBenchShadowAgreement' ./internal/experiments
-	$(GO) test -race -run 'TestIntraEpochOracleSweep' ./internal/core
+	$(GO) test -race -run '^(TestShadowPairwiseDifferentialSweep|TestBenchShadowAgreement|TestIntraEpochOracleSweep)$$' ./internal/core
 
-# Fuzz the shadow engine against the pairwise oracle on generated RMA
-# programs: any disagreement between the two engines is a crasher.
+# Fuzz the cross-process detector against the pairwise oracle on
+# generated RMA programs: any report that differs is a crasher.
 fuzz-shadow:
-	$(GO) test -run NONE -fuzz '^FuzzShadowDifferential$$' -fuzztime 30s .
+	$(GO) test -run NONE -fuzz '^FuzzShadowDifferential$$' -fuzztime 30s ./internal/core
 
 # Fuzz the indexed within-epoch detector against the all-pairs oracle on
 # generated RMA programs with flushes inserted: any report that differs

@@ -11,7 +11,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -28,17 +27,12 @@ func serveCmd(args []string) error {
 	maxAttempts := fs.Int("max-attempts", 3, "attempts before a failing job is quarantined")
 	retryBackoff := fs.Duration("retry-backoff", 100*time.Millisecond, "base retry backoff, doubled per attempt")
 	analyzeWorkers := fs.Int("analyze-workers", 1, "core pipeline workers per job")
-	engineName := fs.String("engine", "shadow", "cross-process detector: shadow, pairwise, or differential")
 	drainTimeout := fs.Duration("drain-timeout", time.Minute, "max wait for in-flight jobs on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() > 0 {
 		return fmt.Errorf("serve takes no positional arguments")
-	}
-	engine, err := core.ParseEngine(*engineName)
-	if err != nil {
-		return err
 	}
 
 	reg := obs.NewRegistry()
@@ -49,7 +43,6 @@ func serveCmd(args []string) error {
 		MaxAttempts:    *maxAttempts,
 		RetryBackoff:   *retryBackoff,
 		AnalyzeWorkers: *analyzeWorkers,
-		Engine:         engine,
 		Obs:            reg,
 	})
 	ln, err := net.Listen("tcp", *addr)

@@ -13,64 +13,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Engine selects the cross-process detection implementation. The contract
-// between the engines is byte-identical reports: EngineShadow must produce
-// exactly the violations, dedup counts, and witness traces of
-// EnginePairwise, only faster — which is why the zero value is the shadow
-// engine and EngineDifferential exists to enforce the contract at runtime.
-type Engine uint8
-
-const (
-	// EngineShadow is the FastTrack-style shadow-memory engine
-	// (detect_shadow.go): accesses are inserted into an interval-keyed
-	// shadow map and matched via vector-clock binary searches instead of
-	// pairwise vector scans. The default.
-	EngineShadow Engine = iota
-	// EnginePairwise is the original O(ops²)-per-vector reference
-	// implementation (checkRegion), kept as the differential oracle.
-	EnginePairwise
-	// EngineDifferential runs both engines and fails the analysis if
-	// their reports differ in any violation, count, or rendered byte.
-	EngineDifferential
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineShadow:
-		return "shadow"
-	case EnginePairwise:
-		return "pairwise"
-	case EngineDifferential:
-		return "differential"
-	}
-	return fmt.Sprintf("engine(%d)", uint8(e))
-}
-
-// ParseEngine converts a -engine flag value to an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "shadow", "":
-		return EngineShadow, nil
-	case "pairwise":
-		return EnginePairwise, nil
-	case "differential":
-		return EngineDifferential, nil
-	}
-	return 0, fmt.Errorf("unknown engine %q (want shadow, pairwise, or differential)", s)
-}
-
 // Options selects which detectors run; the defaults (via Analyze) run both.
 // Disabling one reproduces the baselines the paper compares against:
 // SyncChecker detects only within-epoch errors (§VII).
 type Options struct {
 	IntraEpoch   bool
 	CrossProcess bool
-
-	// Engine selects the cross-process detector implementation. The zero
-	// value is EngineShadow — safe because every engine is required to
-	// produce byte-identical reports (enforced by EngineDifferential and
-	// the differential test sweep).
-	Engine Engine
 
 	// Workers parallelizes the cross-process detection across concurrent
 	// regions (regions are independent by construction) — the
@@ -112,9 +60,9 @@ func (o *Options) ctxErr() error {
 	return nil
 }
 
-// DefaultOptions runs the full MC-Checker analysis with the shadow engine.
+// DefaultOptions runs the full MC-Checker analysis.
 func DefaultOptions() Options {
-	return Options{IntraEpoch: true, CrossProcess: true, Engine: EngineShadow}
+	return Options{IntraEpoch: true, CrossProcess: true}
 }
 
 // Analyzer runs DN-Analyzer's detection phase over a built model, matching
@@ -156,15 +104,7 @@ func (a *Analyzer) Run() (*Report, error) {
 	if a.opts.CrossProcess {
 		sp := reg.StartSpan(PhaseSpanName, "phase", "detect_cross")
 		psp := tr.Start("pipeline", "main", "detect_cross")
-		var err error
-		switch a.opts.Engine {
-		case EnginePairwise:
-			err = a.detectCrossProcess()
-		case EngineDifferential:
-			err = a.detectCrossDifferential()
-		default:
-			err = a.detectCrossProcessShadow()
-		}
+		err := a.detectCrossProcess()
 		psp.End()
 		sp.End()
 		if err != nil {
@@ -223,35 +163,6 @@ func (a *Analyzer) messageBufferClass(ev *trace.Event) (Op, bool) {
 		return OpStore, true
 	}
 	return 0, false
-}
-
-// storedOp is one remote one-sided operation recorded in a window vector
-// during cross-process detection (paper §IV-C-4).
-type storedOp struct {
-	ev     *trace.Event
-	target model.Footprint
-	epoch  *Epoch
-}
-
-// detectCrossProcess finds conflicts between processes (paper §IV-C-4,
-// error class 2; Figures 2b–2d). For each concurrent region it records all
-// one-sided operations per (window, target process) vector, checking each
-// new operation against the stored ones, then checks every local operation
-// (loads, stores, and RMA origin-buffer accesses) of each target process
-// against the stored remote operations — the two-step linear-time approach
-// of the paper, rather than examining every pair of operations in the
-// region.
-//
-// Regions are sequentially ordered and independent, so with Options.Workers
-// > 1 they are analyzed concurrently and the per-region results merged in
-// region order, keeping the output deterministic.
-func (a *Analyzer) detectCrossProcess() error {
-	regions := a.d.Regions()
-	a.report.Regions = len(regions)
-	scope := func(i int) string { return fmt.Sprintf("region %d", i) }
-	return a.parallelCollect(len(regions), "detect_cross", scope, func(i int, col *collector) error {
-		return a.checkRegion(regions[i], col)
-	})
 }
 
 // collector receives the violations of one analysis scope.
@@ -375,64 +286,6 @@ func (a *Analyzer) parallelCollect(n int, track string, scope func(i int) string
 	return nil
 }
 
-type winTarget struct {
-	win int32
-	tw  int32
-}
-
-func (a *Analyzer) checkRegion(rg dag.Region, col *collector) error {
-	vectors := map[winTarget][]storedOp{}
-
-	// Step 1: remote one-sided operations, checked pairwise per vector.
-	for r := 0; r < a.m.Set.Ranks(); r++ {
-		t := a.m.Set.Traces[r]
-		lo, hi := rg.Span(int32(r))
-		for seq := lo; seq < hi; seq++ {
-			ev := &t.Events[seq]
-			if !ev.Kind.IsRMAComm() {
-				continue
-			}
-			target, err := a.m.TargetFootprint(ev)
-			if err != nil {
-				return err
-			}
-			key := winTarget{win: ev.Win, tw: target.Rank}
-			cur := storedOp{ev: ev, target: target, epoch: a.opEpoch.Of(ev.ID())}
-			for i := range vectors[key] {
-				prev := &vectors[key][i]
-				if prev.ev.Rank == ev.Rank {
-					continue // same-process pairs are the intra-epoch detector's job
-				}
-				if !a.d.Concurrent(prev.ev.ID(), ev.ID()) {
-					continue
-				}
-				iv, overlap := target.Overlaps(prev.target)
-				if !overlap {
-					continue
-				}
-				if EffectiveCompat(prev.ev, ev) == Both {
-					continue
-				}
-				a.addCross(col, rg, prev.epoch, cur.epoch, &Violation{
-					Severity: rmaPairSeverity(prev.epoch, cur.epoch),
-					Class:    AcrossProcesses,
-					Rule: fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window",
-						prev.ev.Kind, ev.Kind),
-					A: *prev.ev, B: *ev, Win: ev.Win, Overlap: iv, Region: rg.Index,
-				})
-			}
-			vectors[key] = append(vectors[key], cur)
-		}
-	}
-
-	// Step 2: local operations at each process against the stored remote
-	// operations on that process's window buffers.
-	return a.forEachLocalAccess(rg, func(ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool) error {
-		a.checkLocalAgainstVectors(rg, vectors, ev, cls, fp, storeRuleApplies, col)
-		return nil
-	})
-}
-
 // forEachLocalAccess walks a region rank-major and visits every local
 // buffer access the cross-process detector's step 2 must check: plain
 // loads and stores (with the MPI-2.2 no-overlap store rule in force),
@@ -440,9 +293,9 @@ func (a *Analyzer) checkRegion(rg dag.Region, col *collector) error {
 // rule off per paper §IV-C-4), result buffers of fetching atomics
 // (store-class at completion), and the logged message buffers of
 // point-to-point and collective calls ("all MPI calls performed to a
-// local buffer"). Shared by the pairwise and shadow engines so the two
-// cannot drift on what counts as a local access. RMA buffers are read
-// from the operation table. A load or store's footprint lives in one
+// local buffer"). The pairwise oracle in the tests walks with it too, so
+// the two cannot drift on what counts as a local access. RMA buffers are
+// read from the operation table. A load or store's footprint lives in one
 // slice reused across visits; visit must not keep or modify any
 // footprint.
 func (a *Analyzer) forEachLocalAccess(rg dag.Region,
@@ -507,68 +360,6 @@ func (a *Analyzer) forEachLocalAccess(rg dag.Region,
 		}
 	}
 	return nil
-}
-
-// checkLocalAgainstVectors compares one local operation of process
-// fp.Rank against the remote one-sided operations stored for windows at
-// that process: per footprint interval, the vector of every window whose
-// buffer it overlaps, in ascending window ID. storeRuleApplies enables the MPI-2.2 rule that a local
-// store may not be concurrent with any Put or Accumulate epoch exposing
-// the same window, even without byte overlap.
-func (a *Analyzer) checkLocalAgainstVectors(rg dag.Region, vectors map[winTarget][]storedOp,
-	ev *trace.Event, cls Op, fp model.Footprint, storeRuleApplies bool, col *collector) {
-	for _, iv := range fp.Intervals {
-		for _, w := range a.m.RankWindows(fp.Rank) {
-			if !w.Buf.Overlaps(iv) {
-				continue
-			}
-			wi := w.Info
-			vec := vectors[winTarget{win: wi.ID, tw: fp.Rank}]
-			for i := range vec {
-				op := &vec[i]
-				if op.ev.Rank == ev.Rank {
-					continue
-				}
-				if !a.d.Concurrent(op.ev.ID(), ev.ID()) {
-					continue
-				}
-				opCls, _ := OpOf(op.ev.Kind)
-				cell := Table(opCls, cls)
-				var overlapIv memory.Interval
-				conflict := false
-				switch cell {
-				case Both:
-					continue
-				case NonOverlap:
-					overlapIv, conflict = fp.Overlaps(op.target)
-				case Error:
-					// Store vs Put/Acc: erroneous without overlap — but only
-					// for true local stores, not Get origin-buffer writes.
-					if storeRuleApplies {
-						conflict = true
-						overlapIv, _ = fp.Overlaps(op.target)
-					} else {
-						overlapIv, conflict = fp.Overlaps(op.target)
-					}
-				}
-				if !conflict {
-					continue
-				}
-				rule := fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s",
-					cls, op.ev.Kind)
-				if cell == Error && overlapIv.Empty() {
-					rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
-						cls, wi.ID, op.ev.Kind)
-				}
-				a.addCross(col, rg, op.epoch, a.opEpoch.Of(ev.ID()), &Violation{
-					Severity: localPairSeverity(op.epoch),
-					Class:    AcrossProcesses,
-					Rule:     rule,
-					A:        *op.ev, B: *ev, Win: wi.ID, Overlap: overlapIv, Region: rg.Index,
-				})
-			}
-		}
-	}
 }
 
 // rmaPairSeverity downgrades conflicts serialized by exclusive locks to

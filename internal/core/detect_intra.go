@@ -55,7 +55,7 @@ func (a *Analyzer) detectIntraEpoch() error {
 type localSide struct {
 	fp    model.Footprint
 	write bool
-	role  string // "origin" or "result", for diagnostics
+	role  BufferRole
 }
 
 // issuedOp is one RMA operation of the epoch under check with its
@@ -82,13 +82,13 @@ func resolveOp(o *issuedOp, ev *trace.Event, ro *rankOps, i int) error {
 	if err != nil {
 		return err
 	}
-	o.locals[0] = localSide{fp: origin, write: ev.Kind == trace.KindGet, role: "origin"}
+	o.locals[0] = localSide{fp: origin, write: ev.Kind == trace.KindGet, role: RoleOrigin}
 	if ev.ResultCount > 0 {
 		result, err := ro.footprint(i, sideResult)
 		if err != nil {
 			return err
 		}
-		o.locals[1] = localSide{fp: result, write: true, role: "result"}
+		o.locals[1] = localSide{fp: result, write: true, role: RoleResult}
 		o.nlocals = 2
 	}
 	if o.target, err = ro.footprint(i, sideTarget); err != nil {
@@ -342,13 +342,8 @@ func (a *Analyzer) checkLocalInEpoch(col *collector, e *Epoch, ev *trace.Event, 
 			if !overlap || (!accWrite && !side.write) {
 				continue
 			}
-			a.addIntra(col, e, &Violation{
-				Severity: SevError,
-				Class:    WithinEpoch,
-				Rule: fmt.Sprintf("local %s overlaps the %s buffer of a pending %s in the same epoch",
-					ev.Kind, side.role, o.ev.Kind),
-				A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-			})
+			a.addIntra(col, e, Rule{Family: RulePendingBuffer, A: o.ev.Kind, B: ev.Kind, ARole: side.role},
+				&Violation{A: *o.ev, B: *ev, Win: e.Win, Overlap: iv})
 		}
 	}
 }
@@ -383,13 +378,8 @@ func (a *Analyzer) checkIssue(col *collector, e *Epoch, i int32) {
 						continue
 					}
 					if iv, ok := ns.fp.Overlaps(os.fp); ok {
-						a.addIntra(col, e, &Violation{
-							Severity: SevError,
-							Class:    WithinEpoch,
-							Rule: fmt.Sprintf("%s buffer of %s overlaps the %s buffer of %s within one epoch",
-								ns.role, ev.Kind, os.role, o.ev.Kind),
-							A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-						})
+						a.addIntra(col, e, Rule{Family: RuleBufferBuffer, A: o.ev.Kind, B: ev.Kind, ARole: os.role, BRole: ns.role},
+							&Violation{A: *o.ev, B: *ev, Win: e.Win, Overlap: iv})
 					}
 				}
 			}
@@ -398,13 +388,8 @@ func (a *Analyzer) checkIssue(col *collector, e *Epoch, i int32) {
 		if o.tw == n.tw {
 			if iv, ok := n.target.Overlaps(o.target); ok {
 				if EffectiveCompat(o.ev, ev) != Both {
-					a.addIntra(col, e, &Violation{
-						Severity: SevError,
-						Class:    WithinEpoch,
-						Rule: fmt.Sprintf("%s and %s to overlapping target regions within one epoch",
-							o.ev.Kind, ev.Kind),
-						A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-					})
+					a.addIntra(col, e, Rule{Family: RuleTargetTarget, A: o.ev.Kind, B: ev.Kind},
+						&Violation{A: *o.ev, B: *ev, Win: e.Win, Overlap: iv})
 				}
 			}
 		}

@@ -1,23 +1,27 @@
 package core
 
-// The shadow cross-process engine: the same detection semantics as
-// checkRegion (detect.go), restated over internal/shadow's shadow-memory
-// store so the per-vector cost drops from O(ops²) pairwise scans to
-// interval-keyed cell lookups plus vector-clock binary searches
-// (FastTrack, Flanagan & Freund, PLDI 2009, transposed to MC-Checker's
-// epoch model). The contract is byte-identical reports — every
-// violation, dedup count, representative instance, and witness chain
-// must match the pairwise engine exactly; EngineDifferential and the
-// differential test sweep enforce it.
+// The cross-process detector (paper §IV-C-4, error class 2; Figures
+// 2b–2d): per concurrent region, every one-sided operation is recorded in
+// the vector of its (window, target process) and checked against the
+// operations stored there; then every local access of each target process
+// is checked against the stored remote operations — the paper's two-step
+// linear approach rather than examining every pair of operations in the
+// region (QuadraticCrossProcess, quadratic.go, is that baseline). The
+// vectors live in internal/shadow's shadow-memory store, so a check costs
+// interval-keyed cell lookups plus vector-clock binary searches instead of
+// a scan of the vector (FastTrack, Flanagan & Freund, PLDI 2009,
+// transposed to MC-Checker's epoch model). A pairwise scan of each vector,
+// kept in the tests as the oracle, must render the same reports byte for
+// byte — every violation, dedup count, representative instance and
+// witness chain.
 //
-// How the semantics map onto the store:
+// How the rules map onto the store:
 //
-//   - group classification replaces the per-pair guards. Stored
-//     accesses are grouped by (origin rank, operation class) where a
-//     class interns (Kind, AccOp, TargetType) — exactly the fields
-//     EffectiveCompat and Table read — so "same rank" and
-//     "compatibility BOTH" skip whole groups once per query instead of
-//     once per pair;
+//   - group classification replaces per-pair guards. Stored accesses are
+//     grouped by (origin rank, operation class) where a class interns
+//     (Kind, AccOp, TargetType) — exactly the fields EffectiveCompat and
+//     Table read — so "same rank" and "compatibility BOTH" skip whole
+//     groups once per query instead of once per pair;
 //   - the DAG Concurrent() calls become the store's concurrent-range
 //     binary searches over segment clocks (dag.ClockRef);
 //   - byte-overlap guards become shadow-cell membership: a query only
@@ -25,16 +29,17 @@ package core
 //     subset of every member's footprint, so touching one proves
 //     overlap. The MPI-2.2 no-overlap store rule (Error × local store)
 //     maps to ModeAll, walking the group's full concurrent range;
-//   - the store emits matches in vector insertion order, which keeps
-//     the first recorded instance of every dedup key — and therefore
-//     the surviving representative fields and witness — identical to
-//     the pairwise scan;
+//   - the store emits matches in vector insertion order, which keeps the
+//     first recorded instance of every dedup key — and therefore the
+//     surviving representative fields and witness — those of a scan of
+//     the vector in program order;
 //   - a repeated instance of a dedup key is recognised by its site pair,
-//     window and rule family (crossKey) and only bumps the count of the
+//     window and rule (crossKey) and only bumps the count of the
 //     violation the collector holds; the key string, the Violation and
 //     its witness closure are built once per key.
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"repro/internal/dag"
@@ -51,24 +56,15 @@ type opClassKey struct {
 	targetType int32
 }
 
-// localRuleKey caches the step-2 rule strings per (local class, remote
-// kind); the no-overlap variant additionally names the window (window
-// IDs start at 0, so the variant needs its own flag, not a sentinel).
-type localRuleKey struct {
-	cls       Op
-	kind      trace.Kind
-	win       int32
-	noOverlap bool
-}
-
 // crossKey stands for a dedup key without its string: two access sites
-// (each fixing its kind and source location), the window, and the rule
-// family — 0 for an RMA pair, whose rule follows from the two kinds, and
-// 1 + 2·class (+1 for the no-overlap variant) for a local access.
+// (each fixing its kind and source location), the window, the rule family
+// and, for a local access, its class — with the sites' kinds and the
+// window, everything the rule text names.
 type crossKey struct {
-	a, b shadow.SiteID
-	win  int32
-	rule uint8
+	a, b  shadow.SiteID
+	win   int32
+	fam   RuleFamily
+	local Op
 }
 
 // shadowOp is one stored one-sided operation. Its epoch is looked up
@@ -78,9 +74,9 @@ type shadowOp struct {
 	target model.Footprint
 }
 
-// shadowRegion is the shadow engine's state for the region being
-// checked: the store, the stored-op payload arena, a dedup cache, and
-// interning tables (operation classes, access sites, rule strings) that
+// shadowRegion is the detector's state for the region being checked: the
+// store, the stored-op payload arena, a dedup cache, and interning tables
+// (operation classes, access sites, rule texts) that
 // keep the emit path free of fmt.Sprintf calls. One shadowRegion serves
 // every region a worker checks: reset empties the per-region parts, and
 // the tables, which are pure functions of their keys, carry over to the
@@ -99,8 +95,7 @@ type shadowRegion struct {
 	classIdx map[opClassKey]int32
 	classRep []*trace.Event // representative event per class
 
-	pairRules  map[[2]trace.Kind]string
-	localRules map[localRuleKey]string
+	rules map[Rule]string // rendered rule texts
 
 	// seen maps dedup keys to the violation col holds for each, so a
 	// repeated instance costs one Count++. It lives as long as col: one
@@ -114,11 +109,10 @@ type shadowRegion struct {
 func (sr *shadowRegion) reset(a *Analyzer, col *collector, n int) {
 	if sr.st == nil {
 		*sr = shadowRegion{
-			st:         shadow.NewStore(shadow.NewDepot()),
-			classIdx:   map[opClassKey]int32{},
-			pairRules:  map[[2]trace.Kind]string{},
-			localRules: map[localRuleKey]string{},
-			seen:       map[crossKey]*Violation{},
+			st:       shadow.NewStore(shadow.NewDepot()),
+			classIdx: map[opClassKey]int32{},
+			rules:    map[Rule]string{},
+			seen:     map[crossKey]*Violation{},
 		}
 	}
 	sr.a = a
@@ -135,9 +129,9 @@ func (sr *shadowRegion) reset(a *Analyzer, col *collector, n int) {
 // release empties sr of everything tied to the analysis it served: the
 // analyzer and collector, stored operations and clocks, interned sites
 // with their operand strings, operation classes with their
-// representative events, window-specific rule strings and the dedup
-// cache. Capacity and the pair-rule strings, a pure function of two
-// kinds, are kept.
+// representative events, the rule texts that name a window, and the dedup
+// cache. Capacity and the other rule texts, pure functions of operation
+// kinds and classes, are kept.
 func (sr *shadowRegion) release() {
 	if sr.st == nil {
 		return
@@ -152,7 +146,7 @@ func (sr *shadowRegion) release() {
 	clear(sr.classIdx)
 	clear(sr.classRep)
 	sr.classRep = sr.classRep[:0]
-	clear(sr.localRules)
+	maps.DeleteFunc(sr.rules, func(r Rule, _ string) bool { return r.Family == RuleCrossStore })
 	clear(sr.seen)
 }
 
@@ -186,33 +180,14 @@ func (sr *shadowRegion) classOf(ev *trace.Event) int32 {
 	return id
 }
 
-func (sr *shadowRegion) pairRule(prev, cur trace.Kind) string {
-	k := [2]trace.Kind{prev, cur}
-	if r, ok := sr.pairRules[k]; ok {
-		return r
+// ruleText renders r once per analysis.
+func (sr *shadowRegion) ruleText(r Rule) string {
+	t, ok := sr.rules[r]
+	if !ok {
+		t = r.String()
+		sr.rules[r] = t
 	}
-	r := fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window", prev, cur)
-	sr.pairRules[k] = r
-	return r
-}
-
-func (sr *shadowRegion) localRule(cls Op, kind trace.Kind, win int32, noOverlap bool) string {
-	k := localRuleKey{cls: cls, kind: kind, noOverlap: noOverlap}
-	if noOverlap {
-		k.win = win
-	}
-	if r, ok := sr.localRules[k]; ok {
-		return r
-	}
-	var r string
-	if noOverlap {
-		r = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
-			cls, win, kind)
-	} else {
-		r = fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s", cls, kind)
-	}
-	sr.localRules[k] = r
-	return r
+	return t
 }
 
 // repeat folds an instance whose key is cached into the violation the
@@ -226,27 +201,30 @@ func (sr *shadowRegion) repeat(k crossKey) bool {
 	return true
 }
 
-// first records an instance whose key is not cached through the
+// first records an instance of rule r whose key is not cached through the
 // collector's key index, which folds it into an earlier instance whose
 // key renders to the same string, and caches the violation the index
 // holds.
-func (sr *shadowRegion) first(k crossKey, rg dag.Region, aEpoch, bEpoch *Epoch, v *Violation) {
+func (sr *shadowRegion) first(k crossKey, rg dag.Region, aEpoch, bEpoch *Epoch, r Rule, v *Violation) {
+	v.Rule = sr.ruleText(r)
 	presetKey(v, sr.siteOps[k.a], sr.siteOps[k.b])
-	sr.seen[k] = sr.a.addCross(sr.col, rg, aEpoch, bEpoch, v)
+	sr.seen[k] = sr.a.addCross(sr.col, rg, aEpoch, bEpoch, r, v)
 }
 
-// detectCrossProcessShadow is detectCrossProcess with the shadow engine
-// per region; the parallelization and merge order are identical.
-func (a *Analyzer) detectCrossProcessShadow() error {
+// detectCrossProcess checks every concurrent region. Regions are
+// sequentially ordered and independent, so with Options.Workers > 1 they
+// are checked concurrently and the per-region results merged in region
+// order, keeping the output deterministic.
+func (a *Analyzer) detectCrossProcess() error {
 	regions := a.d.Regions()
 	a.report.Regions = len(regions)
 	scope := func(i int) string { return fmt.Sprintf("region %d", i) }
 	return a.parallelCollect(len(regions), "detect_cross", scope, func(i int, col *collector) error {
-		return a.checkRegionShadow(regions[i], col)
+		return a.checkRegion(regions[i], col)
 	})
 }
 
-func (a *Analyzer) checkRegionShadow(rg dag.Region, col *collector) error {
+func (a *Analyzer) checkRegion(rg dag.Region, col *collector) error {
 	rma := 0
 	for r := 0; r < a.m.Set.Ranks(); r++ {
 		lo, hi := rg.Span(int32(r))
@@ -261,14 +239,13 @@ func (a *Analyzer) checkRegionShadow(rg dag.Region, col *collector) error {
 	sr.reset(a, col, rma)
 
 	// Step 1: remote one-sided operations. Each is checked against the
-	// store (same check-then-insert discipline as the pairwise vector
-	// scan, so an operation never matches itself or its successors).
+	// store before it is inserted, so an operation never matches itself
+	// or its successors.
 	if err := sr.matchRMA(rg); err != nil {
 		return err
 	}
 
-	// Step 2: local operations at each target process, via the walker
-	// shared with the pairwise engine.
+	// Step 2: local operations at each target process.
 	return a.forEachLocalAccess(rg, func(ev *trace.Event, cls Op, fp model.Footprint, storeRule bool) error {
 		sr.checkLocal(rg, ev, cls, fp, storeRule)
 		return nil
@@ -314,17 +291,15 @@ func (sr *shadowRegion) matchRMA(rg dag.Region) error {
 					return shadow.ModeOverlap
 				},
 				func(p int32) {
-					k := crossKey{a: sr.storedSite(p), b: sr.storedSite(payload), win: ev.Win}
+					k := crossKey{a: sr.storedSite(p), b: sr.storedSite(payload), win: ev.Win, fam: RuleCrossRMA}
 					if sr.repeat(k) {
 						return
 					}
 					prev := &sr.ops[p]
 					iv, _ := target.Overlaps(prev.target)
 					prevEpoch, curEpoch := a.opEpoch.Of(prev.ev.ID()), a.opEpoch.Of(id)
-					sr.first(k, rg, prevEpoch, curEpoch, &Violation{
+					sr.first(k, rg, prevEpoch, curEpoch, Rule{Family: RuleCrossRMA, A: prev.ev.Kind, B: ev.Kind}, &Violation{
 						Severity: rmaPairSeverity(prevEpoch, curEpoch),
-						Class:    AcrossProcesses,
-						Rule:     sr.pairRule(prev.ev.Kind, ev.Kind),
 						A:        *prev.ev, B: *ev, Win: ev.Win, Overlap: iv, Region: rg.Index,
 					})
 				})
@@ -338,11 +313,14 @@ func (sr *shadowRegion) matchRMA(rg dag.Region) error {
 	return nil
 }
 
-// checkLocal is checkLocalAgainstVectors over the store: one query per
-// (footprint interval, overlapping window) hit, probing with the full
-// footprint — the pairwise scan's conflict test uses the whole footprint
-// too, and its per-interval vector rescans (which multiply dedup counts)
-// are reproduced by issuing one store query per hit.
+// checkLocal compares one local access of process fp.Rank with the
+// remote one-sided operations stored for windows at that process: one
+// query per (footprint interval, overlapping window) hit, in ascending
+// window ID, each probing with the full footprint; an access whose
+// footprint crosses a window several times therefore counts once per
+// crossing. storeRule enables the MPI-2.2 rule that a local store may not
+// be concurrent with any Put or Accumulate epoch exposing the same
+// window, even without byte overlap.
 func (sr *shadowRegion) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 	fp model.Footprint, storeRule bool) {
 	a := sr.a
@@ -384,90 +362,17 @@ func (sr *shadowRegion) checkLocal(rg dag.Region, ev *trace.Event, cls Op,
 					if evSite < 0 {
 						evSite = sr.site(ev)
 					}
-					k := crossKey{a: sr.storedSite(payload), b: evSite, win: win, rule: 1 + 2*uint8(cls)}
-					if noOverlap {
-						k.rule++
-					}
+					r := crossLocalRule(op.ev.Kind, cls, win, noOverlap)
+					k := crossKey{a: sr.storedSite(payload), b: evSite, win: win, fam: r.Family, local: cls}
 					if sr.repeat(k) {
 						return
 					}
 					opEpoch := a.opEpoch.Of(op.ev.ID())
-					sr.first(k, rg, opEpoch, a.opEpoch.Of(id), &Violation{
+					sr.first(k, rg, opEpoch, a.opEpoch.Of(id), r, &Violation{
 						Severity: localPairSeverity(opEpoch),
-						Class:    AcrossProcesses,
-						Rule:     sr.localRule(cls, op.ev.Kind, win, noOverlap),
 						A:        *op.ev, B: *ev, Win: win, Overlap: overlapIv, Region: rg.Index,
 					})
 				})
 		}
 	}
-}
-
-// detectCrossDifferential runs the pairwise oracle and the shadow engine
-// on private sub-analyzers, fails if their sorted cross-process reports
-// differ in any violation, count, or rendered byte, and merges the
-// shadow result into the main report.
-func (a *Analyzer) detectCrossDifferential() error {
-	a.report.Regions = len(a.d.Regions())
-	run := func(engine Engine) (*Report, error) {
-		opts := a.opts
-		opts.Engine = engine
-		if engine == EnginePairwise {
-			// The oracle run is redundant work; keep it off the causal
-			// timeline so span lanes reflect the production engine only.
-			opts.Trace = nil
-		}
-		sub := NewAnalyzer(a.m, a.d, a.epochs, a.opEpoch, opts)
-		var err error
-		if engine == EnginePairwise {
-			err = sub.detectCrossProcess()
-		} else {
-			err = sub.detectCrossProcessShadow()
-		}
-		if err != nil {
-			return nil, err
-		}
-		sub.report.Sort()
-		return sub.report, nil
-	}
-	pw, err := run(EnginePairwise)
-	if err != nil {
-		return err
-	}
-	sh, err := run(EngineShadow)
-	if err != nil {
-		return err
-	}
-	if err := diffCrossReports(pw, sh); err != nil {
-		return err
-	}
-	for _, v := range sh.Violations {
-		a.report.addCounted(a.vindex, v)
-	}
-	return nil
-}
-
-// diffCrossReports compares two sorted cross-process reports for byte
-// identity: same violations, same dedup counts, same renderings.
-func diffCrossReports(pw, sh *Report) error {
-	if len(pw.Violations) != len(sh.Violations) {
-		return fmt.Errorf("differential engine mismatch: pairwise reports %d violation(s), shadow %d",
-			len(pw.Violations), len(sh.Violations))
-	}
-	for i := range pw.Violations {
-		p, s := pw.Violations[i], sh.Violations[i]
-		if p.key() != s.key() {
-			return fmt.Errorf("differential engine mismatch at violation %d: pairwise key %q, shadow key %q",
-				i, p.key(), s.key())
-		}
-		if p.Count != s.Count {
-			return fmt.Errorf("differential engine mismatch at violation %d (%s): pairwise count %d, shadow count %d",
-				i, p.key(), p.Count, s.Count)
-		}
-		if ps, ss := p.String(), s.String(); ps != ss {
-			return fmt.Errorf("differential engine mismatch at violation %d: renderings differ\npairwise:\n%s\nshadow:\n%s",
-				i, ps, ss)
-		}
-	}
-	return nil
 }

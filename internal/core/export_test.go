@@ -51,7 +51,7 @@ func LinkedOps(o OpEpochs, e *Epoch) []trace.ID {
 
 // ScratchResidue takes a detector scratch from the pool, counts what it
 // still holds of an earlier analysis — interned sites and their operand
-// strings, operation classes, window-specific rule strings, cached dedup
+// strings, operation classes, rule texts that name a window, cached dedup
 // keys, and buffered or stored operations with an event — and puts it
 // back. A released scratch has none.
 func ScratchResidue() int {
@@ -75,7 +75,12 @@ func ScratchResidue() int {
 	if sr.a != nil || sr.col != nil {
 		n++
 	}
-	return n + len(sr.siteOps) + len(sr.classIdx) + len(sr.classRep) + len(sr.localRules) + len(sr.seen)
+	for r := range sr.rules {
+		if r.Family == RuleCrossStore {
+			n++
+		}
+	}
+	return n + len(sr.siteOps) + len(sr.classIdx) + len(sr.classRep) + len(sr.seen)
 }
 
 // HoldScratch takes every used detector scratch out of the pool and

@@ -29,13 +29,13 @@ func (a *Analyzer) oracleLocalSides(ev *trace.Event) ([]localSide, error) {
 	if err != nil {
 		return nil, err
 	}
-	sides := []localSide{{fp: origin, write: ev.Kind == trace.KindGet, role: "origin"}}
+	sides := []localSide{{fp: origin, write: ev.Kind == trace.KindGet, role: RoleOrigin}}
 	if ev.ResultCount > 0 {
 		result, err := a.m.ResultFootprint(ev)
 		if err != nil {
 			return nil, err
 		}
-		sides = append(sides, localSide{fp: result, write: true, role: "result"})
+		sides = append(sides, localSide{fp: result, write: true, role: RoleResult})
 	}
 	return sides, nil
 }
@@ -67,13 +67,8 @@ func (a *Analyzer) checkEpochLinear(e *Epoch, col *collector) error {
 				if !overlap || (!accWrite && !side.write) {
 					continue
 				}
-				a.addIntra(col, e, &Violation{
-					Severity: SevError,
-					Class:    WithinEpoch,
-					Rule: fmt.Sprintf("local %s overlaps the %s buffer of a pending %s in the same epoch",
-						ev.Kind, side.role, o.ev.Kind),
-					A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-				})
+				a.addIntra(col, e, Rule{Family: RulePendingBuffer, A: o.ev.Kind, B: ev.Kind, ARole: side.role},
+					&Violation{A: *o.ev, B: *ev, Win: e.Win, Overlap: iv})
 			}
 		}
 	}
@@ -127,13 +122,8 @@ func (a *Analyzer) checkEpochLinear(e *Epoch, col *collector) error {
 								continue
 							}
 							if iv, ok := ns.fp.Overlaps(os.fp); ok {
-								a.addIntra(col, e, &Violation{
-									Severity: SevError,
-									Class:    WithinEpoch,
-									Rule: fmt.Sprintf("%s buffer of %s overlaps the %s buffer of %s within one epoch",
-										ns.role, ev.Kind, os.role, o.ev.Kind),
-									A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-								})
+								a.addIntra(col, e, Rule{Family: RuleBufferBuffer, A: o.ev.Kind, B: ev.Kind, ARole: os.role, BRole: ns.role},
+									&Violation{A: *o.ev, B: *ev, Win: e.Win, Overlap: iv})
 							}
 						}
 					}
@@ -142,13 +132,8 @@ func (a *Analyzer) checkEpochLinear(e *Epoch, col *collector) error {
 				if o.tw == tw {
 					if iv, ok := target.Overlaps(o.target); ok {
 						if EffectiveCompat(o.ev, ev) != Both {
-							a.addIntra(col, e, &Violation{
-								Severity: SevError,
-								Class:    WithinEpoch,
-								Rule: fmt.Sprintf("%s and %s to overlapping target regions within one epoch",
-									o.ev.Kind, ev.Kind),
-								A: *o.ev, B: *ev, Win: e.Win, Overlap: iv,
-							})
+							a.addIntra(col, e, Rule{Family: RuleTargetTarget, A: o.ev.Kind, B: ev.Kind},
+								&Violation{A: *o.ev, B: *ev, Win: e.Win, Overlap: iv})
 						}
 					}
 				}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/dag"
 	"repro/internal/memory"
 	"repro/internal/model"
@@ -130,13 +128,11 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 		if EffectiveCompat(x.ev, y.ev) == Both {
 			return
 		}
-		a.addCross(&collector{report: a.report, vindex: a.vindex}, rg, x.epoch, y.epoch, &Violation{
-			Severity: rmaPairSeverity(x.epoch, y.epoch),
-			Class:    AcrossProcesses,
-			Rule: fmt.Sprintf("concurrent %s and %s from different processes overlap in the target window",
-				x.ev.Kind, y.ev.Kind),
-			A: *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: iv, Region: rg.Index,
-		})
+		a.addCross(&collector{report: a.report, vindex: a.vindex}, rg, x.epoch, y.epoch,
+			Rule{Family: RuleCrossRMA, A: x.ev.Kind, B: y.ev.Kind}, &Violation{
+				Severity: rmaPairSeverity(x.epoch, y.epoch),
+				A:        *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: iv, Region: rg.Index,
+			})
 		return
 	}
 
@@ -176,16 +172,9 @@ func (a *Analyzer) checkSitePair(rg dag.Region, x, y *site) {
 	if !conflict {
 		return
 	}
-	rule := fmt.Sprintf("local %s at the target process conflicts with a concurrent remote %s",
-		y.cls, x.ev.Kind)
-	if cell == Error && overlapIv.Empty() {
-		rule = fmt.Sprintf("local %s to window %d while a concurrent remote %s updates the window (erroneous even without overlap)",
-			y.cls, x.ev.Win, x.ev.Kind)
-	}
-	a.addCross(&collector{report: a.report, vindex: a.vindex}, rg, x.epoch, y.epoch, &Violation{
-		Severity: localPairSeverity(x.epoch),
-		Class:    AcrossProcesses,
-		Rule:     rule,
-		A:        *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: overlapIv, Region: rg.Index,
-	})
+	a.addCross(&collector{report: a.report, vindex: a.vindex}, rg, x.epoch, y.epoch,
+		crossLocalRule(x.ev.Kind, y.cls, x.ev.Win, cell == Error && overlapIv.Empty()), &Violation{
+			Severity: localPairSeverity(x.epoch),
+			A:        *x.ev, B: *y.ev, Win: x.ev.Win, Overlap: overlapIv, Region: rg.Index,
+		})
 }

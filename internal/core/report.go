@@ -54,7 +54,8 @@ func (c Class) String() string {
 type Violation struct {
 	Severity Severity
 	Class    Class
-	Rule     string // human-readable rule that fired
+	Rule     string // human-readable rule that fired: Fired.String()
+	Fired    Rule   // the rule that fired, as data; not rendered
 
 	A, B trace.Event // copies of the conflicting events
 
@@ -68,7 +69,7 @@ type Violation struct {
 	// ordered synchronization and epoch events showing why the pair is
 	// unordered (see witness.go). It describes the first recorded
 	// instance of the violation; folded duplicates share it. Excluded
-	// from key() and Signature().
+	// from Key() and Signature().
 	Witness []WitnessStep
 
 	// witnessFn lazily builds Witness: detectors attach a closure so the
@@ -78,15 +79,15 @@ type Violation struct {
 
 	// Cached identity strings. Both are pure functions of fields fixed at
 	// construction (never of Count), so they are computed once on first
-	// use — key() and Signature() sit on the dedup and sort hot paths and
+	// use — Key() and Signature() sit on the dedup and sort hot paths and
 	// used to burn six fmt.Sprintf calls per invocation.
 	dedupKey string
 	sig      string
 }
 
-// key identifies a violation for deduplication: the same pair of source
+// Key identifies a violation for deduplication: the same pair of source
 // locations conflicting by the same rule is reported once with a count.
-func (v *Violation) key() string {
+func (v *Violation) Key() string {
 	if v.dedupKey == "" {
 		a := operandString(&v.A, false)
 		b := operandString(&v.B, false)
@@ -108,7 +109,7 @@ func (v *Violation) key() string {
 }
 
 // presetKey assembles the dedup key from pre-rendered operand strings —
-// byte-identical to what key() would build from the events. The shadow
+// byte-identical to what Key() would build from the events. The shadow
 // engine renders each access site's operand string once (site-interned in
 // its depot) and presets v.dedupKey at construction, keeping the
 // per-violation cost off the hot path. aOp and bOp are operandString
@@ -195,22 +196,24 @@ func operandString(ev *trace.Event, short bool) string {
 // Hint suggests a remediation for the violated rule, in the spirit of the
 // paper's goal that diagnostics "help programmers locate and fix the bugs".
 func (v *Violation) Hint() string {
-	r := v.Rule
-	switch {
-	case strings.Contains(r, "origin buffer of a pending Get"),
-		strings.Contains(r, "result buffer of a pending"):
-		return "close the epoch (fence, unlock, complete, or an MPI-3 flush) before touching the destination buffer"
-	case strings.Contains(r, "origin buffer of a pending"):
+	r := v.Fired
+	switch r.Family {
+	case RulePendingBuffer:
+		// A pending Get_accumulate keeps the hint its reports have always
+		// carried, though its origin buffer is read, not written.
+		if r.ARole == RoleResult || r.A == trace.KindGet || r.A == trace.KindGetAccumulate {
+			return "close the epoch (fence, unlock, complete, or an MPI-3 flush) before touching the destination buffer"
+		}
 		return "delay reuse of the origin buffer until the epoch closes, or complete it early with MPI-3 Win_flush_local"
-	case strings.Contains(r, "buffer of") && strings.Contains(r, "overlaps the"):
+	case RuleBufferBuffer:
 		return "give concurrent operations in one epoch distinct local buffers"
-	case v.Class == WithinEpoch && strings.Contains(r, "target regions"):
+	case RuleTargetTarget:
 		return "split the operations into separate epochs or make the target regions disjoint"
-	case strings.Contains(r, "erroneous even without overlap"):
+	case RuleCrossStore:
 		return "do not store into an exposed window while remote updates may be in flight; separate the accesses with interprocess synchronization"
-	case strings.Contains(r, "local") && v.Class == AcrossProcesses:
+	case RuleCrossLocal:
 		return "order the local access against the remote epoch with synchronization (e.g. a barrier after the origin's unlock)"
-	case v.Class == AcrossProcesses:
+	case RuleCrossRMA:
 		return "order the conflicting epochs with synchronization, make their target regions disjoint, or use same-operation accumulates"
 	}
 	return "separate the conflicting operations with MPI synchronization"
@@ -271,6 +274,35 @@ type Report struct {
 	// the program's behavior (it covers only the events listed as
 	// analyzed).
 	Degraded []string
+
+	// index maps Key() to the violation held for it, for Merge; built on
+	// the first Merge.
+	index map[string]*Violation
+}
+
+// Merge folds rep, the report over a later part of the same run, into r
+// (the stream checker merges its slabs this way): the analysis
+// statistics add up, and each of rep's violations adds its count to the
+// one r holds under the same Key or is appended. It returns the
+// violations new to r, in rep's order. Stats and Degraded are left to the
+// caller, and r's violations must change only through Merge.
+func (r *Report) Merge(rep *Report) []*Violation {
+	if r.index == nil {
+		r.index = make(map[string]*Violation, len(r.Violations))
+		for _, v := range r.Violations {
+			r.index[v.Key()] = v
+		}
+	}
+	r.EventsAnalyzed += rep.EventsAnalyzed
+	r.Regions += rep.Regions
+	r.EpochsChecked += rep.EpochsChecked
+	var added []*Violation
+	for _, v := range rep.Violations {
+		if r.addCounted(r.index, v) {
+			added = append(added, v)
+		}
+	}
+	return added
 }
 
 // add records a violation, folding duplicates, and returns the
@@ -279,27 +311,29 @@ type Report struct {
 // the surviving instance (and its witness) is the one the serial scan
 // would have kept.
 func (r *Report) add(index map[string]*Violation, v *Violation) *Violation {
-	if prev, ok := index[v.key()]; ok {
+	if prev, ok := index[v.Key()]; ok {
 		prev.Count++
 		return prev
 	}
 	v.Count = 1
 	v.resolveWitness()
-	index[v.key()] = v
+	index[v.Key()] = v
 	r.Violations = append(r.Violations, v)
 	return v
 }
 
 // addCounted folds a violation that already carries a Count (merging
-// per-region partial reports produced by parallel analysis).
-func (r *Report) addCounted(index map[string]*Violation, v *Violation) {
-	if prev, ok := index[v.key()]; ok {
+// per-region partial reports produced by parallel analysis) and reports
+// whether it was new.
+func (r *Report) addCounted(index map[string]*Violation, v *Violation) bool {
+	if prev, ok := index[v.Key()]; ok {
 		prev.Count += v.Count
-		return
+		return false
 	}
 	v.resolveWitness()
-	index[v.key()] = v
+	index[v.Key()] = v
 	r.Violations = append(r.Violations, v)
+	return true
 }
 
 // resolveWitness materializes the lazy witness chain once the violation
@@ -349,7 +383,7 @@ func (r *Report) Sort() {
 		if sa, sb := a.Signature(), b.Signature(); sa != sb {
 			return sa < sb
 		}
-		return a.key() < b.key()
+		return a.Key() < b.Key()
 	})
 }
 

@@ -53,18 +53,25 @@ func witnessString(steps []WitnessStep) string {
 	return sb.String()
 }
 
-// addIntra records a within-epoch violation with its witness chain
-// attached lazily (built only if the violation survives dedup).
-func (a *Analyzer) addIntra(col *collector, e *Epoch, v *Violation) {
+// addIntra records a within-epoch violation of rule r — an error, always —
+// with its witness chain attached lazily (built only if the violation
+// survives dedup).
+func (a *Analyzer) addIntra(col *collector, e *Epoch, r Rule, v *Violation) {
+	v.Severity, v.Class, v.Rule, v.Fired = SevError, WithinEpoch, r.String(), r
 	v.witnessFn = a.witnessIntra(e, v)
 	col.add(v)
 }
 
-// addCross records a cross-process violation with its witness chain
-// attached lazily and returns the violation the collector holds for its
-// key. aEpoch and bEpoch are the operands' epochs, either of which may be
-// nil (local accesses belong to no epoch).
-func (a *Analyzer) addCross(col *collector, rg dag.Region, aEpoch, bEpoch *Epoch, v *Violation) *Violation {
+// addCross records a cross-process violation of rule r with its witness
+// chain attached lazily and returns the violation the collector holds for
+// its key. aEpoch and bEpoch are the operands' epochs, either of which may
+// be nil (local accesses belong to no epoch). A v.Rule already set is
+// taken as r's rendering.
+func (a *Analyzer) addCross(col *collector, rg dag.Region, aEpoch, bEpoch *Epoch, r Rule, v *Violation) *Violation {
+	v.Class, v.Fired = AcrossProcesses, r
+	if v.Rule == "" {
+		v.Rule = r.String()
+	}
 	v.witnessFn = a.witnessCross(rg, aEpoch, bEpoch, v)
 	return col.add(v)
 }

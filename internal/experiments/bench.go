@@ -74,21 +74,6 @@ type BenchCross struct {
 	Speedup   float64   `json:"speedup"`
 }
 
-// BenchShadow compares the shadow cross-process engine against the
-// pairwise reference on an amplified multi-origin region — the shape
-// where the pairwise per-vector scan is O(ops²). Agreement records that
-// the differential engine verified byte-identical reports on the same
-// trace before either engine was timed.
-type BenchShadow struct {
-	Ops       int       `json:"ops"`
-	Ranks     int       `json:"ranks"`
-	Events    int       `json:"events"`
-	Pairwise  BenchStat `json:"pairwise"`
-	Shadow    BenchStat `json:"shadow"`
-	Speedup   float64   `json:"speedup"`
-	Agreement bool      `json:"agreement"`
-}
-
 // BenchResult is the schema of BENCH.json.
 type BenchResult struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
@@ -100,7 +85,6 @@ type BenchResult struct {
 	Analyze   BenchAnalyze `json:"analyze"`
 	Phases    []BenchPhase `json:"phases"`
 	Cross     BenchCross   `json:"cross_process"`
-	Shadow    BenchShadow  `json:"shadow_vs_pairwise"`
 }
 
 // BenchConfig parameterizes the harness.
@@ -114,10 +98,6 @@ type BenchConfig struct {
 	// CrossOps sizes the synthetic region of the linear-vs-quadratic
 	// comparison (the quadratic baseline is O(ops²)).
 	CrossOps int
-	// ShadowOps sizes the amplified multi-origin region of the
-	// shadow-vs-pairwise comparison (the pairwise engine's per-vector
-	// scan is O(ops²) there). Default 4096.
-	ShadowOps int
 	// Trace, when non-nil, records the instrumented phase pass (the one
 	// benchPhases reads the span registry from) as a causal timeline with
 	// per-worker lanes.
@@ -134,9 +114,6 @@ func Bench(cfg BenchConfig) (*BenchResult, error) {
 	}
 	if cfg.CrossOps < 1 {
 		cfg.CrossOps = 1024
-	}
-	if cfg.ShadowOps < 1 {
-		cfg.ShadowOps = 4096
 	}
 	// Use the machine's full width: a harness invoked with a restricted
 	// GOMAXPROCS (or from an environment that pinned it to 1) would
@@ -178,9 +155,6 @@ func Bench(cfg BenchConfig) (*BenchResult, error) {
 	}
 	res.Phases = phases
 	if err := benchCross(cfg.CrossOps, &res.Cross); err != nil {
-		return nil, err
-	}
-	if err := benchShadow(cfg.ShadowOps, &res.Shadow); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -228,10 +202,12 @@ func benchCorpora(amplify int) ([]*trace.Set, error) {
 // violation per iteration (the first, cache-filling computation — the
 // cost every deduplicated violation pays exactly once).
 func benchSignature() BenchStat {
+	rule := core.Rule{Family: core.RuleCrossRMA, A: trace.KindPut, B: trace.KindGet}
 	template := core.Violation{
 		Severity: core.SevError,
 		Class:    core.AcrossProcesses,
-		Rule:     "concurrent Put and Get from different processes overlap in the target window",
+		Rule:     rule.String(),
+		Fired:    rule,
 		A: trace.Event{Kind: trace.KindPut, Rank: 0, File: "bench/origin.go", Line: 42,
 			Func: "repro/internal/apps.benchOrigin"},
 		B: trace.Event{Kind: trace.KindGet, Rank: 1, File: "bench/target.go", Line: 97,
@@ -318,15 +294,13 @@ func benchPhases(sets []*trace.Set, tr *tracing.Recorder) ([]BenchPhase, error) 
 }
 
 // benchCross times the linear cross-process detector against the
-// quadratic baseline on one synthetic concurrent region. The engine is
-// pinned to pairwise so this section keeps measuring the original linear
-// detector; the shadow engine has its own section.
+// quadratic baseline on one synthetic concurrent region.
 func benchCross(ops int, out *BenchCross) error {
 	set := SyntheticRegion(16, ops)
 	linear := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Engine: core.EnginePairwise}); err != nil {
+			if _, err := core.AnalyzeWith(set, core.Options{CrossProcess: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -344,44 +318,6 @@ func benchCross(ops int, out *BenchCross) error {
 	out.Quadratic = statOf(quadratic, set.TotalEvents())
 	if out.Linear.NsPerOp > 0 {
 		out.Speedup = out.Quadratic.NsPerOp / out.Linear.NsPerOp
-	}
-	return nil
-}
-
-// benchShadow times the shadow engine against the pairwise reference on
-// the multi-origin region where every operation shares one (window,
-// target) vector. The differential engine runs once first: if the two
-// engines' reports are not byte-identical on this trace the harness fails
-// instead of publishing a speedup for a detector that disagrees with its
-// reference.
-func benchShadow(ops int, out *BenchShadow) error {
-	const ranks = 8
-	set := ShadowSyntheticRegion(ranks, ops)
-	if _, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Engine: core.EngineDifferential}); err != nil {
-		return fmt.Errorf("bench: shadow/pairwise disagreement: %w", err)
-	}
-	out.Agreement = true
-
-	run := func(engine core.Engine) testing.BenchmarkResult {
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Engine: engine}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	shadow := run(core.EngineShadow)
-	pairwise := run(core.EnginePairwise)
-
-	out.Ops = ops
-	out.Ranks = ranks
-	out.Events = set.TotalEvents()
-	out.Shadow = statOf(shadow, set.TotalEvents())
-	out.Pairwise = statOf(pairwise, set.TotalEvents())
-	if out.Shadow.NsPerOp > 0 {
-		out.Speedup = out.Pairwise.NsPerOp / out.Shadow.NsPerOp
 	}
 	return nil
 }

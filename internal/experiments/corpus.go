@@ -108,12 +108,12 @@ type CorpusResult struct {
 	CleanPrograms   int `json:"clean_programs"`
 	CleanViolations int `json:"clean_violations"`
 
-	AppsCaught      bool    `json:"apps_caught"`       // every registry bug caught by >= 1 engine
-	AppsFixedClean  bool    `json:"apps_fixed_clean"`  // every fixed variant clean on every engine
-	AppsRepaired    bool    `json:"apps_repaired"`     // every corpus case auto-repaired and verified
-	GeneratedCaught bool    `json:"generated_caught"`  // every injected program caught by >= 1 engine
-	CleanOK         bool    `json:"clean_ok"`          // zero violations across clean programs
-	Gate            bool    `json:"gate"`              // all of the above
+	AppsCaught      bool    `json:"apps_caught"`      // every registry bug caught by >= 1 engine
+	AppsFixedClean  bool    `json:"apps_fixed_clean"` // every fixed variant clean on every engine
+	AppsRepaired    bool    `json:"apps_repaired"`    // every corpus case auto-repaired and verified
+	GeneratedCaught bool    `json:"generated_caught"` // every injected program caught by >= 1 engine
+	CleanOK         bool    `json:"clean_ok"`         // zero violations across clean programs
+	Gate            bool    `json:"gate"`             // all of the above
 	ElapsedSec      float64 `json:"elapsed_seconds"`
 	Seed            uint64  `json:"seed"`
 }

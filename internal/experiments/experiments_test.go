@@ -136,23 +136,6 @@ func TestSyntheticRegion(t *testing.T) {
 	}
 }
 
-// TestBenchShadowAgreement runs the shadow-vs-pairwise benchmark's
-// differential gate on its worst-case multi-origin region (sized down —
-// the gate, not the timing, is what CI needs).
-func TestBenchShadowAgreement(t *testing.T) {
-	set := ShadowSyntheticRegion(8, 512)
-	if set.Ranks() != 8 {
-		t.Fatalf("ranks = %d", set.Ranks())
-	}
-	rep, err := core.AnalyzeWith(set, core.Options{CrossProcess: true, Engine: core.EngineDifferential})
-	if err != nil {
-		t.Fatalf("shadow/pairwise disagreement: %v", err)
-	}
-	if len(rep.Violations) == 0 {
-		t.Error("multi-origin region should report its planted conflict")
-	}
-}
-
 // crossOnly builds the front end of set once and returns a cross-only
 // analysis over it with the default engine.
 func crossOnly(tb testing.TB, set *trace.Set) func() *core.Report {
@@ -181,7 +164,7 @@ func crossOnly(tb testing.TB, set *trace.Set) func() *core.Report {
 	}
 }
 
-// BenchmarkCrossShadow times cross-only detection with the shadow engine,
+// BenchmarkCrossShadow times cross-only detection,
 // front end untimed: "hot" is the perfbench hot region (one vector of
 // 4096 puts from 7 origins, permuted per epoch), "corpora" every Table II
 // buggy case with its body run 8 times.

@@ -70,15 +70,15 @@ func SyntheticRegion(ranks, ops int) *trace.Set {
 	return b.Set()
 }
 
-// ShadowSyntheticRegion builds the worst case for the pairwise detector:
+// ShadowSyntheticRegion builds the worst case for a pairwise vector scan:
 // every rank except rank 0 puts to rank 0's window, so all operations land
 // in ONE (window, target) vector and the per-vector rescan degenerates to
 // O(ops^2) comparisons. Each origin writes its own disjoint stripe under a
 // shared-lock epoch, so the operations are mutually concurrent but the
-// shadow engine's interval cells stay disjoint and each query touches only
+// shadow store's interval cells stay disjoint and each query touches only
 // its own stripe. A handful of planted overlaps at the tail of the window
-// keep both engines emitting, so differential agreement is checkable on
-// the same workload that is benchmarked.
+// make the detector report, so its agreement with the pairwise test oracle
+// is checkable on the same workload that is benchmarked.
 func ShadowSyntheticRegion(ranks, ops int) *trace.Set {
 	if ranks < 3 {
 		ranks = 3

@@ -21,9 +21,9 @@ type Strategy interface {
 // Derivation keys for the seed-derived schedule parameters (arbitrary
 // distinct constants; see faults.Derive).
 const (
-	keyPCTBatch   = 0x70637462 // "pctb": PCT change-point batch ordinals
-	keyPCTPrio    = 0x70637470 // "pctp": PCT priority permutation
-	keyDelayStep  = 0x646c7973 // "dlys": delay-bounded step parameters
+	keyPCTBatch  = 0x70637462 // "pctb": PCT change-point batch ordinals
+	keyPCTPrio   = 0x70637470 // "pctp": PCT priority permutation
+	keyDelayStep = 0x646c7973 // "dlys": delay-bounded step parameters
 )
 
 // Sweep is the plain seed sweep: schedule i enables legal cross-origin

@@ -58,9 +58,6 @@ type Config struct {
 	// AnalyzeWorkers is core.Options.Workers for each job (default 1:
 	// concurrency comes from the job pool, not from within one job).
 	AnalyzeWorkers int
-	// Engine is core.Options.Engine for each job; the zero value is the
-	// shadow engine.
-	Engine core.Engine
 	// Obs receives the serve metric families and the per-job analysis
 	// metrics. Nil disables all accounting.
 	Obs *obs.Registry
@@ -457,7 +454,6 @@ func (s *Server) analyze(ctx context.Context, sub *Submission) (rep *core.Report
 	}
 	opts := core.DefaultOptions()
 	opts.Workers = s.cfg.AnalyzeWorkers
-	opts.Engine = s.cfg.Engine
 	opts.Obs = s.cfg.Obs
 	opts.Ctx = ctx
 	if sub.IntraOnly {

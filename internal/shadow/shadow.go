@@ -38,7 +38,7 @@
 // groups (skip / overlap-filtered / unconditional) and receives matches
 // as opaque payloads, in exactly the insertion order a pairwise scan of
 // the vector would have visited them — which is what lets the driving
-// detector reproduce the pairwise engine's reports byte for byte. One
+// detector reproduce a pairwise scan's reports byte for byte. One
 // store serves a sequence of regions: Reset empties it and keeps its
 // memory.
 package shadow

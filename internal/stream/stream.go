@@ -54,7 +54,8 @@ type Checker struct {
 	// Per-rank positions (indexes into pending) of global sync events.
 	globalPos [][]int
 
-	// Definition events seen so far, per rank, in original order.
+	// Definition events of the slabs analyzed so far, per rank, in
+	// original order: re-injected at the start of every later slab.
 	defs [][]trace.Event
 
 	// Cleanliness state.
@@ -78,7 +79,6 @@ type Checker struct {
 
 	slabsAnalyzed int
 	report        *core.Report
-	vindex        map[string]*core.Violation
 	err           error
 	tolerant      bool     // degrade failing slabs instead of aborting
 	notes         []string // accumulated degradation diagnostics
@@ -141,7 +141,6 @@ func New(ranks int, onViolation func(v *core.Violation)) *Checker {
 		fenceSeen:    map[int32]bool{},
 		freed:        map[int32]bool{},
 		report:       &core.Report{},
-		vindex:       map[string]*core.Violation{},
 		opts:         core.DefaultOptions(),
 	}
 	return c
@@ -176,14 +175,6 @@ func (c *Checker) SetTolerant(v bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tolerant = v
-}
-
-// SetEngine selects the cross-process detector implementation used for
-// slab analysis (default: the shadow engine). Call before the first Emit.
-func (c *Checker) SetEngine(e core.Engine) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.opts.Engine = e
 }
 
 // Emit implements trace.Sink. It is safe for concurrent use by the rank
@@ -226,12 +217,8 @@ func (c *Checker) track(ev *trace.Event) {
 		members := ev.Payload().Members
 		c.commSize[ev.Comm] = len(members)
 		c.commMembers[ev.Comm] = append([]int32(nil), members...)
-		c.defs[r] = append(c.defs[r], *ev)
-	case trace.KindTypeCreate:
-		c.defs[r] = append(c.defs[r], *ev)
 	case trace.KindWinCreate:
 		c.winComm[ev.Win] = ev.Comm
-		c.defs[r] = append(c.defs[r], *ev)
 	case trace.KindWinFree:
 		c.freed[ev.Win] = true
 	case trace.KindWinFence:
@@ -368,12 +355,30 @@ func (c *Checker) maybeAnalyze() {
 	}
 }
 
-// analyzeSlab builds a self-contained trace set from the events up to and
-// including each rank's next boundary, analyzes it, merges violations, and
-// discards the events (keeping the boundary event as the next slab's
-// opening synchronization).
+// analyzeSlab analyzes the events up to and including each rank's next
+// boundary as one slab, merges its violations, and discards the events.
 func (c *Checker) analyzeSlab() error {
+	set := c.cutSlab(func(r int) int { return c.globalPos[r][0] + 1 })
+	c.mPeakBuffered.SetMax(int64(c.peakBuffered))
+	rep, err := c.analyzeSet(set, fmt.Sprintf("slab %d", c.slabsAnalyzed))
+	if err != nil {
+		return fmt.Errorf("stream: slab %d: %w", c.slabsAnalyzed, err)
+	}
+	c.merge(rep)
+	return nil
+}
+
+// cutSlab builds the next self-contained slab from the first cut(r)
+// pending events of each rank, preceded — after the first slab — by the
+// definitions of the slabs analyzed before it and a synthetic opening
+// fence per live fenced window. The cut events leave the pending queues
+// (the boundary event is consumed: its sync effect for the next slab is
+// re-created by the synthetic fence and definitions, and ordering across
+// the boundary is implied by slab sequencing), and their definitions
+// join those re-injected into later slabs.
+func (c *Checker) cutSlab(cut func(r int) int) *trace.Set {
 	set := trace.NewSet(c.ranks)
+	wins := c.liveFencedWins()
 	for r := 0; r < c.ranks; r++ {
 		tr := set.Traces[r]
 		appendEv := func(ev trace.Event) {
@@ -382,15 +387,13 @@ func (c *Checker) analyzeSlab() error {
 			tr.Events = append(tr.Events, ev)
 		}
 		if c.slabsAnalyzed > 0 {
-			// Re-inject definitions and a synthetic opening fence per live
-			// fenced window.
 			for _, d := range c.defs[r] {
 				if d.Kind == trace.KindWinCreate && c.freed[d.Win] {
 					continue
 				}
 				appendEv(d)
 			}
-			for _, win := range c.liveFencedWins() {
+			for _, win := range wins {
 				if !c.rankInWinComm(r, win) {
 					continue
 				}
@@ -400,33 +403,28 @@ func (c *Checker) analyzeSlab() error {
 				})
 			}
 		}
-		cut := c.globalPos[r][0] + 1
-		for _, ev := range c.pending[r][:cut] {
+		n := cut(r)
+		for _, ev := range c.pending[r][:n] {
 			appendEv(ev)
+			switch ev.Kind {
+			case trace.KindCommCreate, trace.KindTypeCreate, trace.KindWinCreate:
+				c.defs[r] = append(c.defs[r], ev)
+			}
 		}
-		// Keep everything after the boundary; the boundary event itself
-		// was consumed (its sync effect for the next slab is re-created by
-		// the synthetic fence / definitions, and ordering across the
-		// boundary is implied by slab sequencing).
-		c.pending[r] = append([]trace.Event(nil), c.pending[r][cut:]...)
-		rebased := c.globalPos[r][1:]
-		c.globalPos[r] = make([]int, len(rebased))
-		for i, p := range rebased {
-			c.globalPos[r][i] = p - cut
+		c.pending[r] = append([]trace.Event(nil), c.pending[r][n:]...)
+		rebased := c.globalPos[r][:0]
+		for _, p := range c.globalPos[r] {
+			if p >= n {
+				rebased = append(rebased, p-n)
+			}
 		}
+		c.globalPos[r] = rebased
 	}
 	c.slabsAnalyzed++
 	c.recountBuffered()
 	c.mSlabs.Inc()
 	c.mSlabEvents.Observe(int64(set.TotalEvents()))
-	c.mPeakBuffered.SetMax(int64(c.peakBuffered))
-
-	rep, err := c.analyzeSet(set, fmt.Sprintf("slab %d", c.slabsAnalyzed))
-	if err != nil {
-		return fmt.Errorf("stream: slab %d: %w", c.slabsAnalyzed, err)
-	}
-	c.merge(rep)
-	return nil
+	return set
 }
 
 // analyzeSet runs one slab's trace set through the pipeline. In tolerant
@@ -489,30 +487,11 @@ func (c *Checker) rankInWinComm(r int, win int32) bool {
 // merge folds a slab report into the cumulative one, deduplicating across
 // slabs and firing the callback for new violations.
 func (c *Checker) merge(rep *core.Report) {
-	c.report.EventsAnalyzed += rep.EventsAnalyzed
-	c.report.Regions += rep.Regions
-	c.report.EpochsChecked += rep.EpochsChecked
-	for _, v := range rep.Violations {
-		key := violationKey(v)
-		if prev, ok := c.vindex[key]; ok {
-			prev.Count += v.Count
-			continue
-		}
-		c.vindex[key] = v
-		c.report.Violations = append(c.report.Violations, v)
+	for _, v := range c.report.Merge(rep) {
 		if c.onViolation != nil {
 			c.onViolation(v)
 		}
 	}
-}
-
-func violationKey(v *core.Violation) string {
-	a := fmt.Sprintf("%s@%s", v.A.Kind, v.A.Loc())
-	b := fmt.Sprintf("%s@%s", v.B.Kind, v.B.Loc())
-	if b < a {
-		a, b = b, a
-	}
-	return a + "|" + b + "|" + v.Rule
 }
 
 // Finish analyzes the remaining tail and returns the cumulative report.
@@ -558,41 +537,7 @@ func (c *Checker) finishLocked() (*core.Report, error) {
 		remaining += len(c.pending[r])
 	}
 	if remaining > 0 {
-		set := trace.NewSet(c.ranks)
-		for r := 0; r < c.ranks; r++ {
-			tr := set.Traces[r]
-			appendEv := func(ev trace.Event) {
-				ev.Rank = int32(r)
-				ev.Seq = int64(len(tr.Events))
-				tr.Events = append(tr.Events, ev)
-			}
-			if c.slabsAnalyzed > 0 {
-				for _, d := range c.defs[r] {
-					if d.Kind == trace.KindWinCreate && c.freed[d.Win] {
-						continue
-					}
-					appendEv(d)
-				}
-				for _, win := range c.liveFencedWins() {
-					if !c.rankInWinComm(r, win) {
-						continue
-					}
-					appendEv(trace.Event{
-						Kind: trace.KindWinFence, Win: win, Comm: c.winComm[win],
-						File: "<stream-carryover>",
-					})
-				}
-			}
-			for _, ev := range c.pending[r] {
-				appendEv(ev)
-			}
-			c.pending[r] = nil
-			c.globalPos[r] = nil
-		}
-		c.slabsAnalyzed++
-		c.buffered = 0
-		c.mSlabs.Inc()
-		c.mSlabEvents.Observe(int64(set.TotalEvents()))
+		set := c.cutSlab(func(r int) int { return len(c.pending[r]) })
 		rep, err := c.analyzeSet(set, "final slab")
 		if err != nil {
 			return nil, fmt.Errorf("stream: final slab: %w", err)

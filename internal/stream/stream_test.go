@@ -48,10 +48,10 @@ func sameViolations(t *testing.T, a, b *core.Report) {
 	}
 	seen := map[string]bool{}
 	for _, v := range a.Violations {
-		seen[violationKey(v)] = true
+		seen[v.Key()] = true
 	}
 	for _, v := range b.Violations {
-		if !seen[violationKey(v)] {
+		if !seen[v.Key()] {
 			t.Errorf("batch violation missing from stream: %v", v)
 		}
 	}
@@ -76,6 +76,78 @@ func TestStreamMatchesBatchOnBugSuite(t *testing.T) {
 				t.Errorf("stream flagged the fixed variant:\n%s", sf)
 			}
 		})
+	}
+}
+
+// TestStreamMatchesBatchOnCorpus runs the planted-bug corpus, buggy and
+// fixed, through both checkers; it includes programs that define
+// datatypes between slab boundaries.
+func TestStreamMatchesBatchOnCorpus(t *testing.T) {
+	for _, bc := range apps.CorpusCases() {
+		t.Run(bc.Name, func(t *testing.T) {
+			s, b, _ := runBoth(t, bc.Ranks, bc.Buggy)
+			sameViolations(t, s, b)
+			sf, bf, _ := runBoth(t, bc.Ranks, bc.Fixed)
+			sameViolations(t, sf, bf)
+		})
+	}
+}
+
+// TestStreamTwoWindows creates two windows on the world communicator —
+// each creation is a slab boundary — and races puts from two origins in
+// both. Every slab after the first must define each window once.
+func TestStreamTwoWindows(t *testing.T) {
+	s, b, slabs := runBoth(t, 3, func(p *mpi.Proc) error {
+		buf1 := p.Alloc(64, "win1")
+		buf2 := p.Alloc(64, "win2")
+		w1 := p.WinCreate(buf1, 1, p.CommWorld())
+		w2 := p.WinCreate(buf2, 1, p.CommWorld())
+		w1.Fence(mpi.AssertNone)
+		w2.Fence(mpi.AssertNone)
+		if p.Rank() != 0 {
+			src := p.Alloc(8, "src")
+			w1.Put(src, 0, 1, mpi.Int64, 0, 0, 1, mpi.Int64)
+			w2.Put(src, 0, 1, mpi.Int64, 0, 0, 1, mpi.Int64)
+		}
+		w1.Fence(mpi.AssertNone)
+		w2.Fence(mpi.AssertNone)
+		return nil
+	})
+	sameViolations(t, s, b)
+	if len(s.Errors()) == 0 {
+		t.Error("conflicting puts in two windows missed")
+	}
+	if slabs < 2 {
+		t.Errorf("slabs = %d; each window creation should close a slab", slabs)
+	}
+}
+
+// TestMergeKeepsWindows feeds merge one report whose two violations differ
+// only in their window: both survive, as in a batch report, and merging
+// the same violations again only adds to their counts.
+func TestMergeKeepsWindows(t *testing.T) {
+	sc := New(2, nil)
+	slab := func() *core.Report {
+		v := core.Violation{
+			Class: core.AcrossProcesses,
+			Rule:  "concurrent Put and Put from different processes overlap in the target window",
+			A:     trace.Event{Kind: trace.KindPut, Rank: 0, File: "a.go", Line: 1},
+			B:     trace.Event{Kind: trace.KindPut, Rank: 1, File: "a.go", Line: 2},
+			Win:   1, Count: 1,
+		}
+		w := v
+		w.Win = 2
+		return &core.Report{Violations: []*core.Violation{&v, &w}}
+	}
+	sc.merge(slab())
+	sc.merge(slab())
+	if got := len(sc.report.Violations); got != 2 {
+		t.Fatalf("merged %d violation(s), want 2 (one per window)", got)
+	}
+	for _, v := range sc.report.Violations {
+		if v.Count != 2 {
+			t.Errorf("window %d: count %d, want 2", v.Win, v.Count)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"sync"
 
 	"repro/internal/memory"
@@ -42,6 +43,11 @@ const (
 	// maxPreallocEvents caps how many events the count hint may
 	// preallocate, so a hostile header cannot force a huge allocation.
 	maxPreallocEvents = 1 << 16
+
+	// minEventRecord is the fewest bytes an event record takes: its tag,
+	// kind, lock and accumulate-op bytes and one byte for each of its 28
+	// varint fields (string ids included).
+	minEventRecord = 32
 )
 
 // Writer encodes one rank's events to an io.Writer. Each record, together
@@ -414,15 +420,41 @@ func (rd *reader) readHeader() (rank int32, hint uint64, err error) {
 }
 
 // preallocEvents sizes a trace's event slice from the header hint,
-// clamped against hostile or mistaken headers.
-func preallocEvents(t *Trace, hint uint64) {
-	if hint == 0 {
-		return
+// clamped against hostile or mistaken headers: to maxPreallocEvents and,
+// when room is not negative, to the events room bytes of stream can hold.
+// An honest hint is never clamped by room.
+func preallocEvents(t *Trace, hint uint64, room int64) {
+	if room >= 0 {
+		hint = min(hint, uint64(room/minEventRecord))
 	}
-	if hint > maxPreallocEvents {
-		hint = maxPreallocEvents
+	if hint = min(hint, maxPreallocEvents); hint > 0 {
+		t.Events = make([]Event, 0, hint)
 	}
-	t.Events = make([]Event, 0, hint)
+}
+
+// room returns how many undecoded bytes the stream has left, or -1 when
+// that is unknown. It is known when the reader reports its length
+// (bytes.Reader, strings.Reader, bytes.Buffer), is a regular file, or
+// ends within the first window, which room reads to find out.
+func (rd *reader) room() int64 {
+	buffered := int64(rd.end - rd.pos)
+	if rd.rerr != nil {
+		return buffered
+	}
+	switch r := rd.r.(type) {
+	case interface{ Len() int }:
+		return buffered + int64(r.Len())
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			if off, err := r.Seek(0, io.SeekCurrent); err == nil {
+				return buffered + max(fi.Size()-off, 0)
+			}
+		}
+	}
+	if rd.fill(len(rd.buf) - 1); rd.rerr != nil {
+		return int64(rd.end - rd.pos)
+	}
+	return -1
 }
 
 // readStrDef decodes one string-definition record into the intern table.
@@ -458,7 +490,7 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	t := &Trace{Rank: rank}
-	preallocEvents(t, hint)
+	preallocEvents(t, hint, rd.room())
 	if err := rd.readRecords(t, false); err != nil {
 		return nil, err
 	}

@@ -3,8 +3,12 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -146,6 +150,88 @@ func TestCodecHugeHintClamped(t *testing.T) {
 	}
 	if cap(got.Events) > maxPreallocEvents {
 		t.Fatalf("hint preallocated %d slots; clamp is %d", cap(got.Events), maxPreallocEvents)
+	}
+}
+
+// TestMinEventRecord: the smallest event record — every field zero, both
+// strings empty — takes exactly minEventRecord bytes, the bound the
+// decoder divides the stream length by to clamp the count hint.
+func TestMinEventRecord(t *testing.T) {
+	encode := func(events int) int {
+		var buf bytes.Buffer
+		w, err := NewWriter(&buf, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for range events {
+			w.Emit(Event{Kind: KindBarrier})
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Len()
+	}
+	if got := encode(1) - encode(0); got != minEventRecord {
+		t.Fatalf("smallest event record is %d bytes, minEventRecord is %d", got, minEventRecord)
+	}
+}
+
+// TestHintBoundedByInput: a 9-byte stream whose header hints 2^16 events
+// must not preallocate them — whether the reader reports its length, is
+// a file, or only reaches its end within the first window — while an
+// honest hint still sizes the slice exactly.
+func TestHintBoundedByInput(t *testing.T) {
+	var hostile []byte
+	hostile = append(hostile, codecMagic...)
+	hostile = append(hostile, codecVersion)
+	hostile = binary.AppendVarint(hostile, 0)
+	hostile = binary.AppendUvarint(hostile, maxPreallocEvents)
+	if len(hostile) != 9 {
+		t.Fatalf("hostile stream is %d bytes", len(hostile))
+	}
+	path := filepath.Join(t.TempDir(), "rank0.mcct")
+	if err := os.WriteFile(path, hostile, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	readers := map[string]func() io.Reader{
+		"bytes":   func() io.Reader { return bytes.NewReader(hostile) },
+		"unsized": func() io.Reader { return io.MultiReader(bytes.NewReader(hostile)) },
+		"file": func() io.Reader {
+			f, err := os.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { f.Close() })
+			return f
+		},
+	}
+	for name, open := range readers {
+		t.Run(name, func(t *testing.T) {
+			decode := func() {
+				ReadTrace(open())
+				ReadTraceSalvage(open())
+			}
+			decode() // warm the decode-context pool
+			const rounds = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range rounds {
+				decode()
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / (2 * rounds); per >= 64<<10 {
+				t.Errorf("decoding the 9-byte stream allocated %d B", per)
+			}
+		})
+	}
+
+	want, data := encodeSample(t, 3, 150)
+	got, err := ReadTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(got.Events) != len(want.Events) {
+		t.Errorf("honest hint of %d events gave capacity %d", len(want.Events), cap(got.Events))
 	}
 }
 

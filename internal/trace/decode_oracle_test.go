@@ -120,7 +120,7 @@ func oracleReadTrace(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	t := &Trace{Rank: rank}
-	preallocEvents(t, hint)
+	preallocEvents(t, hint, -1)
 	for {
 		tag, err := rd.r.ReadByte()
 		if err != nil {
@@ -154,7 +154,7 @@ func oracleReadTraceSalvage(r io.Reader) (*Trace, SalvageResult, error) {
 		return nil, res, err
 	}
 	t := &Trace{Rank: rank}
-	preallocEvents(t, hint)
+	preallocEvents(t, hint, -1)
 	stop := func(format string, args ...any) (*Trace, SalvageResult, error) {
 		res.Events = len(t.Events)
 		res.Reason = fmt.Sprintf(format, args...)

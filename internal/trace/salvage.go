@@ -48,7 +48,7 @@ func ReadTraceSalvage(r io.Reader) (*Trace, SalvageResult, error) {
 		return nil, res, err
 	}
 	t := &Trace{Rank: rank}
-	preallocEvents(t, hint)
+	preallocEvents(t, hint, rd.room())
 	if err := rd.readRecords(t, true); err != nil {
 		res.Reason = err.Error()
 	} else {
